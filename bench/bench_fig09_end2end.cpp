@@ -97,7 +97,8 @@ void measured_sanity() {
 int main() {
   bench::header(
       "Figure 9 — End-to-end FT attention vs decoupled FT attention");
-  bench::note("modeled A100 times from exact op counts; see DESIGN.md");
+  bench::note("modeled A100 times from exact op counts; see "
+              "docs/BENCHMARKS.md");
   run_config(16, 64);
   run_config(32, 128);
   measured_sanity();

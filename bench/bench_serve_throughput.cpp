@@ -12,6 +12,7 @@
 // expected >= 3x the single-request loop.
 
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <span>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "bench_json.hpp"
 #include "bench_util.hpp"
 #include "core/decode.hpp"
-#include "serve/kv_cache.hpp"
 #include "serve/tile_pool.hpp"
 
 namespace fa = ftt::attention;
@@ -39,33 +39,36 @@ constexpr std::size_t kContexts[] = {480, 500, 512, 390, 460, 512, 350, 420};
 constexpr std::size_t kLongContexts[] = {2048, 1900, 2016, 1731};
 
 struct Fleet {
-  std::vector<fs::KvCache> caches;
+  fs::TilePool pool;
+  std::vector<std::unique_ptr<fs::PagedKvCache>> caches;  // one per request
   std::vector<std::vector<Half>> queries;     // per request: heads*dim
   std::vector<std::vector<float>> out;        // per request: heads*dim
 
+  // Production configuration (the engine default): one single-layer pool
+  // whose sealed tiles carry the memoized encodings AND a pre-transposed
+  // fp16 image, so a clean decode tick streams Half operands straight
+  // through the fused fp16-operand kernels.  The int8 variant replaces the
+  // fp16 payload and the image with a quantized block that the fused
+  // kernels dequantize in registers — images are fp16-only, so its tiles
+  // carry none.
   explicit Fleet(std::size_t requests,
                  std::span<const std::size_t> contexts = kContexts,
-                 bool kv_quant = false,
-                 fc::ImagePolicy images = fc::ImagePolicy::kF16T) {
+                 bool kv_quant = false)
+      : pool({1, kHeads, kDim, 0, ftt::abft::StridedAbft::kDefaultStride,
+              fc::ImagePolicy::kF16T}) {
     std::mt19937_64 rng(42);
     std::normal_distribution<float> dist(0.0f, 1.0f);
     for (std::size_t r = 0; r < requests; ++r) {
-      // Production configuration (the engine default): sealed tiles carry
-      // the memoized encodings AND a pre-transposed fp16 image, so a clean
-      // decode tick streams Half operands straight through the fused
-      // fp16-operand kernels.  The int8 variant replaces the fp16 payload
-      // and the image with a quantized block that is dequantized (SIMD)
-      // once per tile — images are fp16-only, so the quantized fleet runs
-      // with images off.
-      caches.emplace_back(kHeads, kDim, ftt::abft::StridedAbft::kDefaultStride,
-                          kv_quant ? fc::ImagePolicy::kNone : images,
-                          kv_quant);
+      caches.push_back(std::make_unique<fs::PagedKvCache>(
+          pool, kv_quant ? fc::TileFmt::kI8 : fc::TileFmt::kF16));
+      fs::PagedKvCache& cache = *caches.back();
       const std::size_t n = contexts[r % contexts.size()];
       std::vector<Half> k(kHeads * kDim), v(kHeads * kDim);
       for (std::size_t t = 0; t < n; ++t) {
         for (auto& x : k) x = Half(dist(rng));
         for (auto& x : v) x = Half(dist(rng));
-        caches[r].append(k, v);
+        (void)cache.ensure_capacity(t + 1);  // unbounded pool
+        cache.append_chunk(0, k, v, 1);
       }
       queries.emplace_back(kHeads * kDim);
       for (auto& x : queries.back()) x = Half(dist(rng));
@@ -77,7 +80,7 @@ struct Fleet {
     std::vector<fc::DecodeWorkItem> v;
     for (std::size_t r = 0; r < caches.size(); ++r) {
       for (std::size_t h = 0; h < kHeads; ++h) {
-        v.push_back(fc::DecodeWorkItem{caches[r].slice(h),
+        v.push_back(fc::DecodeWorkItem{caches[r]->slice(0, h),
                                        queries[r].data() + h * kDim,
                                        out[r].data() + h * kDim});
       }
@@ -164,39 +167,10 @@ int main(int argc, char** argv) {
               kLongBatch, long_toks, long_items.size(),
               tlong / kLongBatch * 1e3);
 
-  // Same fleet with software prefetch disabled: isolates the per-tile-loop
-  // prefetch hint (informational gauge — the delta is trajectory-tracked,
-  // not gated, because it is hardware- and load-dependent).
-  fc::EftaOptions no_pf;
-  no_pf.prefetch = false;
-  const double tlong_nopf = bench::time_best(
-      [&] { fc::efta_decode_batch(long_items, no_pf); }, 5);
-  const double prefetch_speedup = tlong_nopf / tlong;
-  std::printf("  batch %zu @ ctx ~2048 (no prefetch) %10.1f tok/s  "
-              "prefetch delta %.3fx\n",
-              kLongBatch, static_cast<double>(kLongBatch) / tlong_nopf,
-              prefetch_speedup);
-
-  // Same fleet with the PR 7 widened-fp32 images instead of the fp16-
-  // operand f16t images: the fp32 path streams 2x the K-side bytes per
-  // tile, so at a memory-bound context the f16t tier should hold or beat
-  // it (informational gauge; the gated floor is the absolute tokens/s).
-  Fleet longf32(kLongBatch, kLongContexts, /*kv_quant=*/false,
-                fc::ImagePolicy::kF32);
-  auto longf32_items = longf32.items();
-  (void)fc::efta_decode_batch(longf32_items);  // same warm-up, fresh fleet
-  const double tlong_f32 = bench::time_best(
-      [&] { fc::efta_decode_batch(longf32_items); }, 5);
-  const double f16t_vs_f32_speedup = tlong_f32 / tlong;
-  std::printf("  batch %zu @ ctx ~2048 (fp32 images) %10.1f tok/s  "
-              "f16t speedup %.2fx\n",
-              kLongBatch, static_cast<double>(kLongBatch) / tlong_f32,
-              f16t_vs_f32_speedup);
-
   // Int8-quantized KV at the same long-context config: sealed tiles store
-  // the payload as int8 (+ exact int32 checksums) instead of fp16 + fp32
-  // image, so the decode loop streams ~1/6 the bytes per tile and widens
-  // once per tile via the SIMD dequant kernel.  The batched path is
+  // the payload as int8 (+ exact int32 checksums) instead of fp16 + f16t
+  // image, so the decode loop streams fewer bytes per tile and the fused
+  // kernels dequantize in registers.  The batched path is
   // memory-bound at this context (PR 7), so bytes saved convert to tokens.
   Fleet longq(kLongBatch, kLongContexts, /*kv_quant=*/true);
   auto longq_items = longq.items();
@@ -211,30 +185,28 @@ int main(int argc, char** argv) {
               kLongBatch, longq_toks, int8_speedup);
 
   // Capacity: bytes per sealed context tile in each format and image
-  // policy.  The int8 ratio keeps its original basis — fp16 + fp32 image,
-  // the pre-f16t production configuration — so the gauge's trajectory stays
-  // comparable across PRs.  The image ratio is the new default's sealed-
-  // tile footprint over the bare fp16 slab: the kF16T layout carries only
-  // the K-side operands in Half, so it must stay under 1.7x (vs 3x for
-  // kF32), which is the capacity half of the fp16-operand tier's win.
+  // policy.  The int8 ratio keeps its original basis — 3x the bare fp16
+  // slab, which was exactly the retired fp16 + widened-fp32-image tile —
+  // so the gauge's trajectory stays comparable across PRs.  The image
+  // ratio is the default's sealed-tile footprint over the bare fp16 slab:
+  // the kF16T layout carries only the K-side operands in Half, so it must
+  // stay under 1.7x.
   fs::TilePoolOptions popt;
   popt.layers = 2;
   popt.heads = kHeads;
   popt.dim = kDim;
   popt.capacity_tiles = 1;
-  popt.images = fc::ImagePolicy::kF32;
-  fs::TilePool pool(popt);
-  const double capacity_ratio =
-      static_cast<double>(pool.tile_bytes(fc::TileFmt::kF16)) /
-      static_cast<double>(pool.tile_bytes(fc::TileFmt::kI8));
-  std::printf("  int8 tile capacity ratio  %.2fx  (%zu B fp16+image vs %zu B "
-              "int8)\n",
-              capacity_ratio, pool.tile_bytes(fc::TileFmt::kF16),
-              pool.tile_bytes(fc::TileFmt::kI8));
   popt.images = fc::ImagePolicy::kF16T;
   fs::TilePool pool_f16t(popt);
   popt.images = fc::ImagePolicy::kNone;
   fs::TilePool pool_bare(popt);
+  const std::size_t basis_bytes = 3 * pool_bare.tile_bytes(fc::TileFmt::kF16);
+  const std::size_t int8_bytes = pool_bare.tile_bytes(fc::TileFmt::kI8);
+  const double capacity_ratio = static_cast<double>(basis_bytes) /
+                                static_cast<double>(int8_bytes);
+  std::printf("  int8 tile capacity ratio  %.2fx  (%zu B 3x bare fp16 vs %zu B "
+              "int8)\n",
+              capacity_ratio, basis_bytes, int8_bytes);
   const double image_bytes_ratio =
       static_cast<double>(pool_f16t.tile_bytes(fc::TileFmt::kF16)) /
       static_cast<double>(pool_bare.tile_bytes(fc::TileFmt::kF16));
@@ -270,11 +242,9 @@ int main(int argc, char** argv) {
     w.kv("single_request_tokens_per_s", tok1);
     w.kv("long_context_batch", kLongBatch);
     w.kv("long_context_tokens_per_s", long_toks);
-    w.kv("long_context_tokens_per_s_no_prefetch",
-         static_cast<double>(kLongBatch) / tlong_nopf);
     w.kv("long_context_tokens_per_s_int8", longq_toks);
-    w.kv("int8_tile_bytes", pool.tile_bytes(fc::TileFmt::kI8));
-    w.kv("f16_tile_bytes", pool.tile_bytes(fc::TileFmt::kF16));
+    w.kv("int8_tile_bytes", int8_bytes);
+    w.kv("f16_tile_bytes", pool_f16t.tile_bytes(fc::TileFmt::kF16));
     w.kv("marginal_flags", marginal_flags);
     w.kv("bit_identical_to_serial", !any_mismatch);
     w.key("batches");
@@ -309,9 +279,6 @@ int main(int argc, char** argv) {
     // Gated (upper limit): the default image policy's sealed-tile bytes
     // over the bare fp16 slab must stay under the 1.7x acceptance ceiling.
     w.kv("kv_image_bytes_ratio", image_bytes_ratio);
-    // Informational: hardware-dependent deltas, trajectory-tracked.
-    w.kv("decode_prefetch_ctx2048_speedup", prefetch_speedup);
-    w.kv("decode_f16t_vs_f32_image_speedup", f16t_vs_f32_speedup);
     w.end_object();
     w.end_object();
     json_ok = w.write_file(json_path);

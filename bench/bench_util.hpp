@@ -3,7 +3,8 @@
 //
 // Each bench binary regenerates one table or figure of the paper.  Timing
 // numbers at paper scale come from the calibrated A100 cost model driven by
-// exact operation counts (see DESIGN.md §2); accuracy/coverage numbers are
+// exact operation counts (see docs/BENCHMARKS.md, "Paper figures: the
+// cost-model substitution"); accuracy/coverage numbers are
 // *measured* by running the real kernels with fault injection.  Where
 // affordable, benches also report measured CPU wall-clock ratios at reduced
 // scale as a sanity check on the model's orderings.

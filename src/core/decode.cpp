@@ -80,7 +80,7 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
 /// which is bit-identical to the former memcpy-and-convert-per-GEMM path
 /// because fp16 -> fp32 widening is exact and the MAC order is unchanged.
 /// When the slice carries memoized per-tile checksum encodings (serve::
-/// KvCache seals them once per full tile), clean runs consume those instead
+/// TilePool seals them once per full tile), clean runs consume those instead
 /// of re-deriving all four encodings per call, dropping the per-token encode
 /// cost from O(context) to O(tail).
 FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
@@ -145,46 +145,12 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     const bool is_i8 = it.kv.fmt != nullptr && it.kv.fmt[j] == TileFmt::kI8;
     const Half* kt = is_i8 ? nullptr : it.kv.k_tiles[j];
     const Half* vt = is_i8 ? nullptr : it.kv.v_tiles[j];
-#if defined(__GNUC__) || defined(__clang__)
-    // Software prefetch of the next tile's payload stream: the batched path
-    // is memory-bound (each tile is consumed once per block), so issuing the
-    // first touch a full tile of compute ahead hides the leading miss.  The
-    // hardware prefetcher follows the contiguous stream from there.  Pure
-    // hint — no semantic effect, so every bit-identity contract holds.
-    if (opt.prefetch && j + 1 < nblk) {
-      const std::size_t jn = j + 1;
-      if (cache_ok && it.kv.f32 != nullptr && it.kv.f32[jn] != nullptr) {
-        __builtin_prefetch(it.kv.f32[jn], 0, 3);
-        __builtin_prefetch(it.kv.f32[jn] + d * B, 0, 3);
-      } else if (cache_ok && it.kv.f16t != nullptr &&
-                 it.kv.f16t[jn] != nullptr) {
-        __builtin_prefetch(it.kv.f16t[jn], 0, 3);
-        __builtin_prefetch(it.kv.v_tiles[jn], 0, 3);
-      } else if (it.kv.fmt != nullptr && it.kv.fmt[jn] == TileFmt::kI8) {
-        __builtin_prefetch(it.kv.k_i8[jn], 0, 3);
-        __builtin_prefetch(it.kv.v_i8[jn], 0, 3);
-      } else {
-        __builtin_prefetch(it.kv.k_tiles[jn], 0, 3);
-        __builtin_prefetch(it.kv.v_tiles[jn], 0, 3);
-      }
-    }
-#endif
-    // Fastest tier: the sealed tile carries a memoized fp32 image with every
-    // GEMM operand pre-widened and pre-packed (K-side blocks k-major), so a
-    // clean tick does no fp16 conversion and no packing for this tile at
-    // all — the score GEMMs and GEMM II run straight over the image.
-    // Consuming it is bit-identical to the widen-per-block tiers below:
-    // widening is exact, transposition is pure data movement, and every GEMM
-    // keeps the same per-output ascending-k accumulation order.
-    const float* img = (cache_ok && full && it.kv.f32 != nullptr)
-                           ? it.kv.f32[j]
-                           : nullptr;
-    // The fp16 analogue (kF16T policy): K-side operands pre-transposed at
-    // seal but kept at half width; the fused fp16-operand kernels widen
-    // them in registers.  V-side operands need no image — the slab's V tile
-    // and sealed column checksums are already row-major axpy streams.
-    const Half* himg = (img == nullptr && cache_ok && full &&
-                        it.kv.f16t != nullptr)
+    // Image tier (kF16T policy): the sealed tile's K-side operands were
+    // pre-transposed at seal but kept at half width, so a clean tick does
+    // no packing for this tile; the fused fp16-operand kernels widen them in
+    // registers.  V-side operands need no image — the slab's V tile and
+    // sealed column checksums are already row-major axpy streams.
+    const Half* himg = (cache_ok && full && it.kv.f16t != nullptr)
                            ? it.kv.f16t[j]
                            : nullptr;
     const float* vsrc = nullptr;   // GEMM II operand, B x d row-major fp32
@@ -200,7 +166,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     const std::int8_t* vsrc8 = nullptr;
     float vscale = 1.0f;
     if (is_i8 && cache_ok && it.kv.k_c1[j] != nullptr) {
-      // Int8 fast path — the quantized analogue of the fp32-image tier.
+      // Int8 fast path — the quantized analogue of the image tier.
       // The stored payload is already k-major on the K side and the Half
       // encodings' K blocks are stored transposed, so nothing is packed
       // and nothing dequantizes to scratch: the fused kernels widen the
@@ -218,23 +184,12 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       vscale = it.kv.v_scale[j];
       vc1src = vc1f.data();
       vc2src = vc2f.data();
-    } else if (img != nullptr) {
-      const float* ktimg = img;               // K^T, d x B
-      vsrc = img + d * B;                     // V, B x d
-      const float* kc1t = img + 2 * d * B;    // Kc1^T, d x su
-      const float* kc2t = kc1t + d * su;      // Kc2^T, d x su
-      vc1src = kc2t + d * su;                 // Vc1, B x su
-      vc2src = vc1src + B * su;               // Vc2, B x su
-      sim::gemm_f32_nn(qf.data(), R, d, ktimg, B, S);
-      sim::gemm_f32_nn(qf.data(), R, d, kc1t, su, schk1);
-      sim::gemm_f32_nn(qf.data(), R, d, kc2t, su, schk2);
     } else if (himg != nullptr) {
       // kF16T fast tier: the score GEMMs stream the pre-transposed Half
-      // image (half the bytes of the fp32 image), widening in registers —
-      // exact, ascending-k order unchanged, so bit-identical to the fp32
-      // image tier and to the widen-per-block tier below.  GEMM II and the
-      // output checksums stream the slab's own fp16 V operands the same way
-      // — no fp32 staging for this tile at all.
+      // image, widening in registers — exact, ascending-k order unchanged,
+      // so bit-identical to the widen-per-block tier below.  GEMM II and
+      // the output checksums stream the slab's own fp16 V operands the same
+      // way — no fp32 staging for this tile at all.
       const Half* ktimg = himg;                // K^T, d x B halves
       const Half* kc1t = himg + d * B;         // Kc1^T, d x su halves
       const Half* kc2t = kc1t + d * su;        // Kc2^T, d x su halves

@@ -54,21 +54,19 @@ namespace ftt::core {
 /// (exactly) dequantized payload for the decode-time ABFT GEMMs.
 enum class TileFmt : std::uint8_t { kF16 = 0, kI8 = 1 };
 
-/// Seal-time image memo policy for fp16 (kF16) tiles.  Images are operand
-/// layouts pre-baked at seal so a clean decode tick does no per-call packing:
+/// Seal-time image memo policy for fp16 (kF16) tiles.  An image is an
+/// operand layout pre-baked at seal so a clean decode tick does no per-call
+/// packing:
 ///   kNone — no image; decode widens/packs per tile per call.
 ///   kF16T — pre-transposed *fp16* image: [K^T d x 64 | Kc1^T d x s |
 ///           Kc2^T d x s] halves.  The K side lands in the fused fp16-operand
 ///           kernels' native k-major layout at half width (~1.5x the bare
-///           slab instead of kF32's 3x); the V side needs no image at all —
-///           V and its column checksums are already row-major streams for
-///           axpy_f32_h.  Default: halves the decode memory stream.
-///   kF32  — the widened fp32 image (PR 7 layout, 2x KV bytes on top of the
-///           slab); kept for A/B and for scrub paths that want exact-narrow
-///           payload restore of both operands.
-/// Exactness of fp16->fp32 widening makes all three policies bit-identical
-/// in decode output.
-enum class ImagePolicy : std::uint8_t { kNone = 0, kF16T = 1, kF32 = 2 };
+///           slab); the V side needs no image at all — V and its column
+///           checksums are already row-major streams for axpy_f32_h.
+///           Default: the decode fast path.
+/// Exactness of fp16->fp32 widening makes both policies bit-identical in
+/// decode output.
+enum class ImagePolicy : std::uint8_t { kNone = 0, kF16T = 1 };
 
 /// Read-only tiled view of one (request, head) KV slice.  Tile t holds rows
 /// [64t, min(64(t+1), n)) of the logical n x d cache, row-major, in storage
@@ -89,13 +87,12 @@ struct KvSlice {
   std::size_t n = 0;  ///< valid context rows
   std::size_t d = 0;  ///< head dimension
 
-  /// Optional memoized per-tile checksum encodings (serve::KvCache and
-  /// serve::TilePool compute them once when a tile seals; full tiles are
-  /// immutable so they are never invalidated, and a prefix-shared pool tile
-  /// shares its sealed encodings with every request that maps it).  Each
-  /// array has tiles() entries; k_c1/k_c2 point at
-  /// enc_stride x d row checksums and v_c1/v_c2 at kTileRows x enc_stride
-  /// column checksums, all row-major fp16.  Entries for the unsealed ragged
+  /// Optional memoized per-tile checksum encodings (serve::TilePool computes
+  /// them once when a tile seals; full tiles are immutable so they are never
+  /// invalidated, and a prefix-shared pool tile shares its sealed encodings
+  /// with every request that maps it).  Each array has tiles() entries;
+  /// k_c1/k_c2 point at enc_stride x d row checksums and v_c1/v_c2 at
+  /// kTileRows x enc_stride column checksums, all row-major fp16.  Entries for the unsealed ragged
   /// tail are null.  The kernel consumes them on clean runs when enc_stride
   /// matches its own stride option; an armed (or probing) fault injector
   /// forces fresh per-call encodes so campaign hook counts stay stable.
@@ -105,30 +102,16 @@ struct KvSlice {
   const numeric::Half* const* v_c2 = nullptr;
   int enc_stride = 0;  ///< checksum stride the encodings were built with
 
-  /// Optional memoized widened-fp32 image per sealed tile (the 2x-KV-memory
-  /// option on serve::KvCache / serve::TilePool).  Entry j, when non-null,
-  /// packs six fp32 operand blocks back to back, pre-laid-out for the GEMM
-  /// kernels so a clean decode tick does no widening and no packing at all:
-  ///   [ K^T  d x 64 (k-major) | V  64 x d | Kc1^T d x s | Kc2^T d x s |
-  ///     Vc1 64 x s | Vc2 64 x s ]
-  /// with s == enc_stride.  Widening is exact and transposition is pure data
-  /// movement, so consuming the image is bit-identical to widening the fp16
-  /// tile and encodings per call.  Same gating as the encodings: entries for
-  /// unsealed tiles are null and an armed injector bypasses the memo.
-  const float* const* f32 = nullptr;
-
   /// Optional memoized pre-transposed *fp16* image per sealed tile (the
   /// kF16T policy, ~1.5x slab bytes).  Entry j, when non-null, packs three
   /// Half blocks back to back:
   ///   [ K^T  d x 64 (k-major) | Kc1^T d x s | Kc2^T d x s ]
   /// with s == enc_stride.  The fused fp16-operand kernels widen these in
-  /// registers (exact), so consuming the image is bit-identical to the fp32
-  /// image and to per-call widening; the V operands stream straight from
-  /// v_tiles / v_c1 / v_c2, which are already in axpy-native row-major
-  /// layout.  Assigned by name after aggregate init (it sits past the
-  /// positional members older call sites fill).  Same gating as f32: null
-  /// for unsealed tiles, bypassed under an armed injector; when both images
-  /// are present the f32 image wins (widest preplanned operand).
+  /// registers (exact) and transposition is pure data movement, so
+  /// consuming the image is bit-identical to per-call widening; the V
+  /// operands stream straight from v_tiles / v_c1 / v_c2, which are already
+  /// in axpy-native row-major layout.  Same gating as the encodings: entries
+  /// for unsealed tiles are null and an armed injector bypasses the memo.
   const numeric::Half* const* f16t = nullptr;
 
   /// Optional per-tile storage formats (null == every tile is kF16, the
@@ -140,7 +123,7 @@ struct KvSlice {
   /// *k-major* K^T (d x 64) the fused score GEMM consumes directly, v_i8[j]
   /// is row-major V (64 x d) for GEMM II's axpy, and the tile's k_c1/k_c2
   /// memo entries point at *transposed* (d x enc_stride) fp16 blocks —
-  /// mirroring the fp32 image's Kc^T blocks — while v_c1/v_c2 keep the
+  /// mirroring the f16t image's Kc^T blocks — while v_c1/v_c2 keep the
   /// row-major shape above.  The sealed encodings of an int8 tile are the
   /// fp16 encodings of its dequantized payload (bit-equal to a fresh encode
   /// of the dequantized image).  Only sealed full tiles are ever kI8; the

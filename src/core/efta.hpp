@@ -66,10 +66,6 @@ struct EftaOptions {
   float score_bound = 1e4f;
   float dmr_eps = 1e-3f;
   float snvr_slack = 1e-3f;
-  /// Software-prefetch the next KV tile's payload stream in the per-tile
-  /// decode loop.  Pure hint (no semantic effect — bit-identity contracts
-  /// hold either way); exposed so benches can measure the delta.
-  bool prefetch = true;
 };
 
 /// Run EFTA.  O receives the normalized attention output in fp32.  When

@@ -32,7 +32,7 @@ const HalfToFloatTable& table() {
 // infinity and subnormal results are produced by one fp32 addition against a
 // magic constant (relying on the FPU's own RNE).
 std::uint16_t float_bits_to_half_bits(std::uint32_t f) noexcept {
-  constexpr std::uint32_t kF32Infty = 255u << 23;
+  constexpr std::uint32_t kFloatInfBits = 255u << 23;
   constexpr std::uint32_t kF16Max = (127u + 16u) << 23;  // 2^16
   constexpr std::uint32_t kDenormMagicBits = ((127u - 15u) + (23u - 10u) + 1u)
                                              << 23;
@@ -44,7 +44,7 @@ std::uint16_t float_bits_to_half_bits(std::uint32_t f) noexcept {
   std::uint16_t o;
   if (f >= kF16Max) {
     // Result is Inf or NaN.  All NaNs map to one quiet NaN payload.
-    o = (f > kF32Infty) ? 0x7E00u : 0x7C00u;
+    o = (f > kFloatInfBits) ? 0x7E00u : 0x7C00u;
   } else if (f < (113u << 23)) {
     // Result is a binary16 subnormal (or zero): align the 10 mantissa bits at
     // the bottom of the float via one RNE fp32 addition.

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "serve/kv_cache.hpp"
+#include "serve/kv_tile.hpp"
 
 namespace ftt::serve {
 
@@ -42,17 +42,20 @@ TilePool::TilePool(TilePoolOptions opt)
     throw std::invalid_argument(
         "TilePool: layers, heads and dim must be positive");
   }
-  // Same memoization gate as KvCache: a stride that cannot tile the
-  // checksum footprint disables the memo instead of rejecting the pool.
+  // A stride that cannot tile the checksum footprint disables the memo
+  // instead of rejecting the pool.
   if (enc_stride_ <= 0 ||
       kTileRows % static_cast<std::size_t>(enc_stride_) != 0 ||
       dim_ % static_cast<std::size_t>(enc_stride_) != 0) {
     enc_stride_ = 0;
-    // Both image layouts embed the sealed checksum blocks.
+    // The image layout embeds the sealed checksum blocks.
     images_ = core::ImagePolicy::kNone;
   }
   const auto su = static_cast<std::size_t>(enc_stride_);
   enc_halves_ = enc_stride_ == 0 ? 0 : 2 * su * dim_ + 2 * kTileRows * su;
+  himg_halves_ = images_ == core::ImagePolicy::kF16T
+                     ? detail::f16t_image_halves(dim_, enc_stride_)
+                     : 0;
   per_lh_halves_ = 2 * kTileRows * dim_ + enc_halves_;
   slab_halves_ = layers_ * heads_ * per_lh_halves_;
   // The int8 tile format's checksum shapes are the stride's, so it shares
@@ -101,34 +104,18 @@ const Half* TilePool::enc_block(TileId id, std::size_t layer,
   const Half* v = v_tile(id, layer, head);
   return v == nullptr ? nullptr : v + kTileRows * dim_;
 }
-float* TilePool::f32_image(TileId id, std::size_t layer,
-                           std::size_t head) noexcept {
-  // Null for kI8 tiles (no fslab): the image is the fp16 fast path.
-  float* fslab = tiles_[id].fslab.get();
-  if (images_ != core::ImagePolicy::kF32 || fslab == nullptr) return nullptr;
-  // The image of one (layer, head) holds exactly per_lh_halves_ floats
-  // (every half widened once), so the slab offsets coincide.
-  return fslab + offset(layer, head);
-}
-const float* TilePool::f32_image(TileId id, std::size_t layer,
-                                 std::size_t head) const noexcept {
-  const float* fslab = tiles_[id].fslab.get();
-  if (images_ != core::ImagePolicy::kF32 || fslab == nullptr) return nullptr;
-  return fslab + offset(layer, head);
-}
+// Null for kI8 tiles (no hslab): the image is the fp16 fast path.
 Half* TilePool::f16t_image(TileId id, std::size_t layer,
                            std::size_t head) noexcept {
   Half* hslab = tiles_[id].hslab.get();
-  if (images_ != core::ImagePolicy::kF16T || hslab == nullptr) return nullptr;
-  return hslab +
-         (layer * heads_ + head) * detail::f16t_image_halves(dim_, enc_stride_);
+  return hslab == nullptr ? nullptr
+                          : hslab + (layer * heads_ + head) * himg_halves_;
 }
 const Half* TilePool::f16t_image(TileId id, std::size_t layer,
                                  std::size_t head) const noexcept {
   const Half* hslab = tiles_[id].hslab.get();
-  if (images_ != core::ImagePolicy::kF16T || hslab == nullptr) return nullptr;
-  return hslab +
-         (layer * heads_ + head) * detail::f16t_image_halves(dim_, enc_stride_);
+  return hslab == nullptr ? nullptr
+                          : hslab + (layer * heads_ + head) * himg_halves_;
 }
 core::TileFmt TilePool::format(TileId id) const { return checked(id).format; }
 std::uint8_t* TilePool::i8_block(TileId id, std::size_t layer,
@@ -172,7 +159,6 @@ void TilePool::recycle(TileId id, core::TileFmt fmt) {
   // image and i8 slabs are never zeroed — both are fully written at seal
   // time and never read before.
   if (fmt == core::TileFmt::kI8) {
-    t.fslab.reset();
     t.hslab.reset();
     if (t.qslab == nullptr) {
       t.qslab = std::unique_ptr<std::uint8_t[]>(
@@ -180,13 +166,9 @@ void TilePool::recycle(TileId id, core::TileFmt fmt) {
     }
   } else {
     t.qslab.reset();
-    if (images_ == core::ImagePolicy::kF32 && t.fslab == nullptr) {
-      t.fslab = std::unique_ptr<float[]>(new float[slab_halves_]);
-    }
-    if (images_ == core::ImagePolicy::kF16T && t.hslab == nullptr) {
+    if (himg_halves_ != 0 && t.hslab == nullptr) {
       t.hslab = std::unique_ptr<Half[]>(
-          new Half[layers_ * heads_ *
-                   detail::f16t_image_halves(dim_, enc_stride_)]);
+          new Half[layers_ * heads_ * himg_halves_]);
     }
   }
   t.format = fmt;
@@ -205,11 +187,10 @@ enum class ScrubOutcome { kClean, kRepaired, kUnrepairable };
 
 // Re-verify one (layer, head) block of a sealed tile and repair in place
 // where the single-fault classification allows it (see TilePool::scrub docs).
-// `enc_fresh` / `img_fresh` / `himg_fresh` are caller-provided scratch.
+// `enc_fresh` / `himg_fresh` are caller-provided scratch.
 ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
                          std::size_t layer, std::size_t head,
                          std::vector<Half>& enc_fresh,
-                         std::vector<float>& img_fresh,
                          std::vector<Half>& himg_fresh) {
   const std::size_t dim = pool.dim();
   const int s = pool.enc_stride();
@@ -237,21 +218,11 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
     if (enc_fresh[i].bits() != enc[i].bits()) ++mismatches;
   }
 
-  float* img = pool.f32_image(id, layer, head);
   Half* himg = pool.f16t_image(id, layer, head);
   if (mismatches == 0) {
     // Payload and encodings agree bit for bit.  Cross-check the optional
     // image; the fp16 slab is authoritative, so a disagreeing image is
-    // rebuilt from it (both builds are deterministic: exact widening for
-    // kF32, pure bit transposes for kF16T).
-    if (img != nullptr) {
-      detail::widen_sealed_tile(k, v, enc, dim, s, img_fresh.data());
-      if (std::memcmp(img_fresh.data(), img,
-                      img_fresh.size() * sizeof(float)) != 0) {
-        std::memcpy(img, img_fresh.data(), img_fresh.size() * sizeof(float));
-        return ScrubOutcome::kRepaired;
-      }
-    }
+    // rebuilt from it (pure bit transposes, deterministic).
     if (himg != nullptr) {
       detail::build_f16t_image(k, enc, dim, s, himg_fresh.data());
       if (std::memcmp(himg_fresh.data(), himg,
@@ -268,51 +239,34 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
     // feeds at least a plain and a weighted sum); a single disagreement is
     // checksum-class corruption, and the fresh encode is the repair.
     std::memcpy(enc, enc_fresh.data(), enc_halves * sizeof(Half));
-    if (img != nullptr) detail::widen_sealed_tile(k, v, enc, dim, s, img);
     if (himg != nullptr) detail::build_f16t_image(k, enc, dim, s, himg);
     return ScrubOutcome::kRepaired;
   }
-  // Payload-class corruption: restore from the second copy the image
-  // carries.  kF32 images cover K and V (narrowing the exactly-widened
-  // image restores the sealed fp16 bits); kF16T images cover K only — the
-  // de-transpose restores its Half bits verbatim, but a corrupt V payload
-  // re-verifies dirty below and the tile drops (the durability trade for
-  // the 2x image saving).  Without an image there is no second copy at all.
-  if (img != nullptr) {
-    // Image layout: [K^T (dim x 64) | V (64 x dim) | ...checksums].
-    const float* img_kt = img;
-    const float* img_v = img + TilePool::kTileRows * dim;
-    for (std::size_t r = 0; r < TilePool::kTileRows; ++r) {
-      for (std::size_t c = 0; c < dim; ++c) {
-        k[r * dim + c] = Half(img_kt[c * TilePool::kTileRows + r]);
-        v[r * dim + c] = Half(img_v[r * dim + c]);
-      }
+  // Payload-class corruption: restore K from the second copy the image
+  // carries — the de-transpose restores its Half bits verbatim.  The image
+  // holds no V copy, so a corrupt V payload re-verifies dirty below and the
+  // tile drops (recompute, never a wrong answer).  Without an image there
+  // is no second copy at all.
+  if (himg == nullptr) return ScrubOutcome::kUnrepairable;
+  // Image layout: [K^T (dim x 64) | Kc1^T | Kc2^T] halves.
+  for (std::size_t r = 0; r < TilePool::kTileRows; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) {
+      k[r * dim + c] = himg[c * TilePool::kTileRows + r];
     }
-  } else if (himg != nullptr) {
-    // Image layout: [K^T (dim x 64) | Kc1^T | Kc2^T] halves.
-    const Half* img_kt = himg;
-    for (std::size_t r = 0; r < TilePool::kTileRows; ++r) {
-      for (std::size_t c = 0; c < dim; ++c) {
-        k[r * dim + c] = img_kt[c * TilePool::kTileRows + r];
-      }
-    }
-  } else {
-    return ScrubOutcome::kUnrepairable;
   }
   // Re-verify: the restored payload must reproduce the stored encodings
   // (clean under the single-fault assumption).  A residual mismatch means
-  // the corruption was outside what the image covers (V under kF16T) or
-  // the image was corrupt too — either way beyond repair.
+  // the corruption was outside what the image covers (V) or the image was
+  // corrupt too — either way beyond repair.
   detail::encode_sealed_tile(k, v, dim, s, enc_fresh.data());
   for (std::size_t i = 0; i < enc_halves; ++i) {
     if (enc_fresh[i].bits() != enc[i].bits()) {
       return ScrubOutcome::kUnrepairable;
     }
   }
-  // Refresh the image from the restored payload so all copies are coherent
+  // Refresh the image from the restored payload so both copies are coherent
   // again (no-op bits when the image was clean, as assumed).
-  if (img != nullptr) detail::widen_sealed_tile(k, v, enc, dim, s, img);
-  if (himg != nullptr) detail::build_f16t_image(k, enc, dim, s, himg);
+  detail::build_f16t_image(k, enc, dim, s, himg);
   return ScrubOutcome::kRepaired;
 }
 
@@ -322,13 +276,7 @@ ScrubReport TilePool::scrub(std::size_t max_tiles) {
   ScrubReport rep;
   if (enc_stride_ == 0 || max_tiles == 0 || tiles_.empty()) return rep;
   std::vector<Half> enc_fresh(enc_halves_);
-  std::vector<float> img_fresh;
-  std::vector<Half> himg_fresh;
-  if (images_ == core::ImagePolicy::kF32) {
-    img_fresh.resize(detail::f32_image_floats(dim_, enc_stride_));
-  } else if (images_ == core::ImagePolicy::kF16T) {
-    himg_fresh.resize(detail::f16t_image_halves(dim_, enc_stride_));
-  }
+  std::vector<Half> himg_fresh(himg_halves_);
   const std::size_t n = tiles_.size();
   std::size_t visited = 0;
   while (visited < n && rep.scanned < max_tiles) {
@@ -340,8 +288,7 @@ ScrubReport TilePool::scrub(std::size_t max_tiles) {
     bool unrepairable = false;
     for (std::size_t l = 0; l < layers_ && !unrepairable; ++l) {
       for (std::size_t h = 0; h < heads_ && !unrepairable; ++h) {
-        switch (scrub_block(*this, id, l, h, enc_fresh, img_fresh,
-                            himg_fresh)) {
+        switch (scrub_block(*this, id, l, h, enc_fresh, himg_fresh)) {
           case ScrubOutcome::kClean:
             break;
           case ScrubOutcome::kRepaired:
@@ -393,18 +340,6 @@ void flip_slab_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
       static_cast<std::uint16_t>(h.bits() ^ (1u << (bit & 15u))));
 }
 
-void flip_image_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
-                    std::size_t head, std::size_t float_index, unsigned bit) {
-  float* img = pool.f32_image(id, layer, head);
-  if (img == nullptr) {
-    throw std::logic_error("flip_image_bit: pool holds no fp32 images");
-  }
-  std::uint32_t b;
-  std::memcpy(&b, &img[float_index], sizeof(b));
-  b ^= 1u << (bit & 31u);
-  std::memcpy(&img[float_index], &b, sizeof(b));
-}
-
 void flip_f16t_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit) {
   Half* img = pool.f16t_image(id, layer, head);
@@ -453,15 +388,12 @@ TilePool::TileId TilePool::acquire(core::TileFmt fmt) {
     t.format = fmt;
     if (fmt == core::TileFmt::kI8) {
       // No value-init: fully written at seal time, never read before (the
-      // i8 pointers are published only on seal).  Same for fslab below.
+      // i8 pointers are published only on seal).  Same for hslab below.
       t.qslab = std::unique_ptr<std::uint8_t[]>(
           new std::uint8_t[layers_ * heads_ * i8_block_bytes_]);
-    } else if (images_ == core::ImagePolicy::kF32) {
-      t.fslab = std::unique_ptr<float[]>(new float[slab_halves_]);
-    } else if (images_ == core::ImagePolicy::kF16T) {
+    } else if (himg_halves_ != 0) {
       t.hslab = std::unique_ptr<Half[]>(
-          new Half[layers_ * heads_ *
-                   detail::f16t_image_halves(dim_, enc_stride_)]);
+          new Half[layers_ * heads_ * himg_halves_]);
     }
     t.refs = 1;
     tiles_.push_back(std::move(t));
@@ -560,7 +492,6 @@ std::size_t tile_footprint(const TileT& t, std::size_t slab_halves,
                            std::size_t hslab_halves) noexcept {
   std::size_t b = 0;
   if (t.slab != nullptr) b += slab_halves * sizeof(Half);
-  if (t.fslab != nullptr) b += slab_halves * sizeof(float);
   if (t.hslab != nullptr) b += hslab_halves * sizeof(Half);
   if (t.qslab != nullptr) b += qslab_bytes;
   return b;
@@ -570,10 +501,7 @@ std::size_t tile_footprint(const TileT& t, std::size_t slab_halves,
 
 std::size_t TilePool::bytes_in_use() const noexcept {
   const std::size_t qslab_bytes = layers_ * heads_ * i8_block_bytes_;
-  const std::size_t hslab_halves =
-      enc_stride_ == 0
-          ? 0
-          : layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_);
+  const std::size_t hslab_halves = layers_ * heads_ * himg_halves_;
   std::size_t b = 0;
   for (const Tile& t : tiles_) {
     if (t.refs != 0) {
@@ -585,10 +513,7 @@ std::size_t TilePool::bytes_in_use() const noexcept {
 
 std::size_t TilePool::bytes_allocated() const noexcept {
   const std::size_t qslab_bytes = layers_ * heads_ * i8_block_bytes_;
-  const std::size_t hslab_halves =
-      enc_stride_ == 0
-          ? 0
-          : layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_);
+  const std::size_t hslab_halves = layers_ * heads_ * himg_halves_;
   std::size_t b = 0;
   for (const Tile& t : tiles_) {
     b += tile_footprint(t, slab_halves_, qslab_bytes, hslab_halves);
@@ -600,14 +525,7 @@ std::size_t TilePool::tile_bytes(core::TileFmt fmt) const noexcept {
   if (fmt == core::TileFmt::kI8) {
     return layers_ * heads_ * i8_block_bytes_;
   }
-  std::size_t b = slab_halves_ * sizeof(Half);
-  if (images_ == core::ImagePolicy::kF32) {
-    b += slab_halves_ * sizeof(float);
-  } else if (images_ == core::ImagePolicy::kF16T) {
-    b += layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_) *
-         sizeof(Half);
-  }
-  return b;
+  return (slab_halves_ + layers_ * heads_ * himg_halves_) * sizeof(Half);
 }
 
 core::TileFmt default_tile_format() noexcept {
@@ -687,10 +605,6 @@ void PagedKvCache::push_tile_ptrs(TilePool::TileId id, bool with_enc) {
       // Sealed shared tiles arrive with their image already built (the
       // sealing request wrote it); fresh tiles get theirs at seal time.
       // Null for kI8 tiles — the image is the fp16-only fast path.
-      hp.f32.push_back(with_enc
-                           ? static_cast<const float*>(
-                                 pool_->f32_image(id, l, h))
-                           : nullptr);
       hp.f16t.push_back(with_enc
                             ? static_cast<const Half*>(
                                   pool_->f16t_image(id, l, h))
@@ -785,12 +699,6 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
       hp.kc2[tile_index] = enc + kcn;
       hp.vc1[tile_index] = enc + 2 * kcn;
       hp.vc2[tile_index] = enc + 2 * kcn + vcn;
-      if (float* img = pool_->f32_image(id, layer, h)) {
-        detail::widen_sealed_tile(pool_->k_tile(id, layer, h),
-                                  pool_->v_tile(id, layer, h), enc, dim, s,
-                                  img);
-        hp.f32[tile_index] = img;
-      }
       if (Half* himg = pool_->f16t_image(id, layer, h)) {
         detail::build_f16t_image(pool_->k_tile(id, layer, h), enc, dim, s,
                                  himg);
@@ -844,7 +752,7 @@ void PagedKvCache::append_chunk(std::size_t layer,
   }
   layer_len_[layer] = len + rows;
   // Seal every tile this chunk filled for this layer.  Slab encoding space
-  // is preallocated, so — unlike KvCache — sealing cannot fail mid-append.
+  // is preallocated, so sealing cannot fail mid-append.
   // Speculative appends defer: a tile filled by rows that may be rejected
   // must stay open until truncate() commits the accepted prefix.
   if (!defer_seal) {
@@ -902,7 +810,6 @@ void PagedKvCache::truncate(std::size_t tokens) {
       hp.kc2.pop_back();
       hp.vc1.pop_back();
       hp.vc2.pop_back();
-      hp.f32.pop_back();
       hp.f16t.pop_back();
       hp.kq.pop_back();
       hp.vq.pop_back();
@@ -925,13 +832,12 @@ core::KvSlice PagedKvCache::slice(std::size_t layer, std::size_t head) const {
     throw std::out_of_range("PagedKvCache: layer/head out of range");
   }
   const HeadPtrs& hp = ptrs_[layer * pool_->heads() + head];
+  // f16t entries are null unless the pool's policy is kF16T and the tile
+  // sealed, so exposing the array unconditionally is policy-correct.
   core::KvSlice s{hp.k.data(),   hp.v.data(),   layer_len_[layer],
                   pool_->dim(),  hp.kc1.data(), hp.kc2.data(),
                   hp.vc1.data(), hp.vc2.data(), pool_->enc_stride(),
-                  hp.f32.data()};
-  // Entries are null unless the pool's policy is kF16T and the tile sealed,
-  // so exposing the array unconditionally is policy-correct.
-  s.f16t = hp.f16t.data();
+                  hp.f16t.data()};
   // The i8 views are exposed only for kI8 requests: an fp16 request's
   // slices are bit-for-bit what a pure-fp16 pool would hand out, even when
   // the pool also holds i8 tiles.
@@ -971,7 +877,6 @@ void PagedKvCache::release_all() {
     hp.kc2.clear();
     hp.vc1.clear();
     hp.vc2.clear();
-    hp.f32.clear();
     hp.f16t.clear();
     hp.kq.clear();
     hp.vq.clear();

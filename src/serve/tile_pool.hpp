@@ -72,20 +72,19 @@ struct TilePoolOptions {
   /// the pool grows on demand and eviction only recycles dead/cached tiles
   /// that already exist.
   std::size_t capacity_tiles = 0;
-  /// Checksum stride for the sealed-tile encodings; invalid strides disable
-  /// memoization exactly like serve::KvCache (enc_stride() reports 0).
+  /// Checksum stride for the sealed-tile encodings.  A stride that does not
+  /// divide both the 64-row tile and `dim` — or an explicit value <= 0 —
+  /// disables memoization instead of rejecting the pool (enc_stride()
+  /// reports 0); decode then encodes fresh per call.
   int enc_stride = abft::StridedAbft::kDefaultStride;
   /// Sealed-tile image policy (core::ImagePolicy):
-  ///   * kF32  — widened-fp32 image per sealed (layer, head) tile
-  ///     (detail::widen_sealed_tile layout): 2x the tile memory, zero
-  ///     per-tile widening/packing on clean decode ticks.
   ///   * kF16T — pre-transposed fp16 image (detail::build_f16t_image
   ///     layout, [K^T | Kc1^T | Kc2^T] halves): ~0.5x extra memory, zero
   ///     per-tile packing, operands widened 8 lanes at a time inside the
-  ///     fp16-operand microkernels.  Same decoded bits as kF32/kNone.
+  ///     fp16-operand microkernels.  Same decoded bits as kNone.
   ///   * kNone — no image; decode widens/packs per call.
-  /// Either image requires the encoding memo; forced to kNone when
-  /// enc_stride is disabled.
+  /// The image requires the encoding memo; forced to kNone when enc_stride
+  /// is disabled.
   core::ImagePolicy images = core::ImagePolicy::kNone;
 };
 
@@ -112,23 +111,20 @@ class TilePool {
   /// head) block's in-slab strided-ABFT encodings against its fp16
   /// payload, bit for bit.
   ///
-  ///   * payload and encodings consistent, but the optional image (fp32 or
-  ///     f16t) disagrees -> the image is rebuilt from the (authoritative)
-  ///     fp16 slab (`repaired`);
+  ///   * payload and encodings consistent, but the optional f16t image
+  ///     disagrees -> the image is rebuilt from the (authoritative) fp16
+  ///     slab (`repaired`);
   ///   * exactly one encoding element disagrees with a fresh encode ->
   ///     checksum-class corruption, the sealed encodings (and image) are
   ///     rewritten in place (`repaired`);
-  ///   * two or more disagree -> payload-class corruption: with kF32
-  ///     images, the fp16 payload is reconstructed by exact narrowing of
-  ///     the image (widening was exact, so the round trip restores the
-  ///     sealed bits) and re-verified (`repaired`); with kF16T images the
-  ///     K payload is restored by de-transposing the image's Half bits
-  ///     verbatim and re-verified — but the f16t image carries no V copy,
-  ///     so V-payload corruption is unrepairable there (the memory-
-  ///     durability trade for the 2x image saving); without images (or on
-  ///     a failed re-verify) the tile is unrepairable — it is unpublished,
-  ///     unsealed and reported in `dropped` (refcount-0 tiles go straight
-  ///     to the dead list).
+  ///   * two or more disagree -> payload-class corruption: with kF16T
+  ///     images the K payload is restored by de-transposing the image's
+  ///     Half bits verbatim and re-verified (`repaired`).  The image
+  ///     carries no V copy, so V-payload corruption is unrepairable in
+  ///     place; without images (or on a failed re-verify) the tile is
+  ///     unrepairable — it is unpublished, unsealed and reported in
+  ///     `dropped` (refcount-0 tiles go straight to the dead list), and
+  ///     the engine recomputes it bitwise-correct.
   ///
   /// Classification is exact under a single-fault assumption per tile;
   /// sub-threshold low-order payload flips that cancel in every checksum
@@ -196,13 +192,6 @@ class TilePool {
                                             std::size_t head) const noexcept;
   [[nodiscard]] const numeric::Half* enc_block(TileId id, std::size_t layer,
                                                std::size_t head) const noexcept;
-  /// The widened-fp32 image of one (layer, head) tile (f32_image_floats
-  /// floats, written at seal time), or nullptr when the option is off.
-  /// Contents are only meaningful once the tile's layer sealed.
-  [[nodiscard]] float* f32_image(TileId id, std::size_t layer,
-                                 std::size_t head) noexcept;
-  [[nodiscard]] const float* f32_image(TileId id, std::size_t layer,
-                                       std::size_t head) const noexcept;
   /// The pre-transposed fp16 image of one (layer, head) tile
   /// (f16t_image_halves halves, written at seal time), or nullptr when the
   /// policy is not kF16T.  Contents are only meaningful once the tile's
@@ -264,13 +253,13 @@ class TilePool {
   }
   /// Bytes held by *referenced* tiles (what live requests pin).  Format-
   /// aware: sums each tile's actual current slabs — fp16 staging (freed
-  /// when a kI8 tile seals), fp32 image, i8 — so a mixed-format pool
+  /// when a kI8 tile seals), f16t image, i8 — so a mixed-format pool
   /// reports the real mixed footprint.
   [[nodiscard]] std::size_t bytes_in_use() const noexcept;
   /// Bytes of every materialized slab, cached/dead tiles included.
   [[nodiscard]] std::size_t bytes_allocated() const noexcept;
   /// Steady-state bytes of one sealed tile of `fmt` in this pool's
-  /// configuration (kF16: fp16 slab + optional fp32 image; kI8: the i8
+  /// configuration (kF16: fp16 slab + optional f16t image; kI8: the i8
   /// slab alone — its staging slab is freed at seal).  The byte-capacity
   /// planning hook for benches and the capacity gauges.
   [[nodiscard]] std::size_t tile_bytes(core::TileFmt fmt) const noexcept;
@@ -287,13 +276,9 @@ class TilePool {
     /// area for kI8 tiles (freed when a kI8 tile seals, reallocated on
     /// recycle).
     std::unique_ptr<numeric::Half[]> slab;
-    /// fp32 image slab (kF32 policy, kF16 tiles only): one f32_image_floats
-    /// block per (layer, head), same indexing as `slab`.  Not zeroed on
-    /// recycle — the image is fully overwritten at seal time and never read
-    /// before.
-    std::unique_ptr<float[]> fslab;
     /// Pre-transposed fp16 image slab (kF16T policy, kF16 tiles only): one
-    /// f16t_image_halves block per (layer, head).  Same recycle rule.
+    /// f16t_image_halves block per (layer, head).  Not zeroed on recycle —
+    /// the image is fully overwritten at seal time and never read before.
     std::unique_ptr<numeric::Half[]> hslab;
     /// i8 slab (kI8 tiles only): one detail::I8TileLayout block per
     /// (layer, head).  Not zeroed on recycle for the same reason.
@@ -320,6 +305,7 @@ class TilePool {
   core::ImagePolicy images_;
   std::size_t capacity_tiles_;
   std::size_t per_lh_halves_ = 0;  // K+V+enc of one (layer, head)
+  std::size_t himg_halves_ = 0;    // f16t image of one (layer, head), 0 if off
   std::size_t enc_halves_ = 0;     // the enc portion of the above
   std::size_t slab_halves_ = 0;
   std::size_t i8_block_bytes_ = 0;  // one (layer, head) i8 block, 0 if no enc
@@ -340,13 +326,11 @@ namespace testing {
 /// (KV storage is assumed ECC-protected), so these exist purely to exercise
 /// TilePool::scrub()'s classification/repair paths — never a serving API.
 /// `half_index` addresses the (layer, head) block's contiguous
-/// [K | V | encodings] halves; `float_index` addresses its fp32 image.
+/// [K | V | encodings] halves.
 void flip_slab_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit);
-void flip_image_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
-                    std::size_t head, std::size_t float_index, unsigned bit);
-/// kF16T counterpart of flip_image_bit: flip one bit of one half of a
-/// sealed tile's pre-transposed fp16 image block.
+/// Image counterpart of flip_slab_bit: flip one bit of one half of a sealed
+/// tile's pre-transposed fp16 (kF16T) image block.
 void flip_f16t_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit);
 /// i8-tile counterpart: flip one bit of one byte of a kI8 tile's
@@ -376,8 +360,7 @@ void flip_i8_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
 /// and failure is the preemption signal), then append_chunk() lands the same
 /// rows layer by layer and never allocates.  Per-layer lengths track the
 /// mid-tick state where layer L has appended this tick's rows but layer L+1
-/// has not; slice(layer, head) reads the per-layer length, exactly like the
-/// per-layer KvCache objects this class replaces.
+/// has not; slice(layer, head) reads the per-layer length.
 ///
 /// When a (layer, head) tile fills, its four checksum encodings are sealed
 /// into the tile slab (same bits as a fresh per-call encode — the shared
@@ -412,9 +395,9 @@ class PagedKvCache {
   [[nodiscard]] bool ensure_capacity(std::size_t tokens);
 
   /// Append `rows` tokens' K/V for one layer (head-major rows of heads*dim
-  /// halves, the KvCache::append_chunk layout).  Capacity must already be
-  /// ensured; throws std::logic_error otherwise — the engine's memory phase
-  /// is the only allocation site by design.
+  /// halves, the split-heads layout of a projected rows x hidden block).
+  /// Capacity must already be ensured; throws std::logic_error otherwise —
+  /// the engine's memory phase is the only allocation site by design.
   ///
   /// `defer_seal` is the speculative-append mode: tiles this chunk fills
   /// are NOT sealed (no encodings, no pool-wide seal, no publication
@@ -467,11 +450,8 @@ class PagedKvCache {
  private:
   struct HeadPtrs {
     std::vector<const numeric::Half*> k, v, kc1, kc2, vc1, vc2;
-    // Per-tile fp32 image pointers (null until the layer tile seals, and
-    // always null when the pool doesn't hold kF32 images).
-    std::vector<const float*> f32;
-    // Per-tile pre-transposed fp16 image pointers (kF16T policy), same
-    // null-until-sealed rule.
+    // Per-tile pre-transposed fp16 image pointers (null until the layer
+    // tile seals, and always null when the pool's policy is not kF16T).
     std::vector<const numeric::Half*> f16t;
     // Per-tile i8 payload pointers and power-of-two scales (kI8 caches
     // only; null/0 until the layer tile quantizes).

@@ -7,7 +7,8 @@
 // launches) broken down by the pipeline phases of Figs. 3/5, and this model
 // converts counts to modeled seconds with a per-phase roofline.  All paper
 // figures compare *ratios* (speedups, overhead percentages), which are
-// functions of these counts; see DESIGN.md §2 for the substitution argument.
+// functions of these counts; see docs/BENCHMARKS.md ("Paper figures: the
+// cost-model substitution") for the substitution argument.
 
 #include <array>
 #include <cstddef>

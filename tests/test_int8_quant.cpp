@@ -1,7 +1,7 @@
 // Int8 quantized KV tiles: SIMD/scalar kernel bit-identity, EXACT integer
 // checksum verification (equality, zero threshold), the sealed-encoding
-// exactness lemma, KvCache/TilePool/engine integration and the mixed-format
-// pool invariants.
+// exactness lemma, TilePool/PagedKvCache/engine integration and the
+// mixed-format pool invariants.
 //
 // The load-bearing property is the power-of-two scale: dequantization is an
 // exponent shift (exact), so the dequantized tile's fp16 strided encodings
@@ -24,8 +24,9 @@
 #include "core/decode.hpp"
 #include "numeric/fp16.hpp"
 #include "numeric/int8_simd.hpp"
+#include "kv_fixture.hpp"
 #include "serve/engine.hpp"
-#include "serve/kv_cache.hpp"
+#include "serve/kv_tile.hpp"
 #include "serve/tile_pool.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
@@ -41,7 +42,7 @@ using ftt::numeric::Half;
 
 namespace {
 
-constexpr std::size_t kRows = fs::KvCache::kTileRows;  // 64
+constexpr std::size_t kRows = fs::TilePool::kTileRows;  // 64
 constexpr int kStride = fa::StridedAbft::kDefaultStride;
 
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed,
@@ -499,111 +500,75 @@ TEST(I8Tile, ScrubDoubleClassFaultUnrepairable) {
 }
 
 // ---------------------------------------------------------------------------
-// serve::KvCache with kv_quant: format bookkeeping and decode bit-identity
-// against a manually dequantized fp16 twin.
+// A kI8 PagedKvCache: format bookkeeping and decode bit-identity against a
+// manually dequantized fp16 twin.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr std::size_t kHeads = 2, kDim = 64;
 
-void fill_cache(fs::KvCache& cache, std::size_t tokens, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  const std::size_t w = cache.heads() * cache.dim();
-  std::vector<Half> k(w), v(w);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    for (std::size_t i = 0; i < w; ++i) {
-      k[i] = Half(dist(rng));
-      v[i] = Half(dist(rng));
-    }
-    cache.append(k, v);
-  }
+kvtest::PagedKv quant_kv(bool quant) {
+  return kvtest::PagedKv(kHeads, kDim, kStride, fc::ImagePolicy::kNone,
+                         quant ? fc::TileFmt::kI8 : fc::TileFmt::kF16);
 }
 
-std::vector<float> decode_all_heads(const fs::KvCache& cache,
+std::vector<float> decode_all_heads(const kvtest::PagedKv& kv,
                                     std::span<const Half> q) {
-  std::vector<float> out(cache.heads() * cache.dim());
-  for (std::size_t h = 0; h < cache.heads(); ++h) {
-    fc::efta_decode_step(cache.slice(h),
-                         q.subspan(h * cache.dim(), cache.dim()),
-                         std::span<float>(out).subspan(h * cache.dim(),
-                                                       cache.dim()));
+  std::vector<float> out(kHeads * kDim);
+  for (std::size_t h = 0; h < kHeads; ++h) {
+    fc::efta_decode_step(kv.slice(h), q.subspan(h * kDim, kDim),
+                         std::span<float>(out).subspan(h * kDim, kDim));
   }
   return out;
 }
 
 }  // namespace
 
-TEST(KvCacheQuant, RejectsImagePlusQuantCombination) {
-  EXPECT_THROW(fs::KvCache(kHeads, kDim, kStride, fc::ImagePolicy::kF32,
-                           /*kv_quant=*/true),
-               std::invalid_argument);
-  EXPECT_THROW(fs::KvCache(kHeads, kDim, kStride, fc::ImagePolicy::kF16T,
-                           /*kv_quant=*/true),
-               std::invalid_argument);
-}
-
-TEST(KvCacheQuant, SealedTilesFlipToI8AndTailStaysF16) {
-  fs::KvCache cache(kHeads, kDim, kStride, fc::ImagePolicy::kNone, true);
-  EXPECT_TRUE(cache.kv_quant());
-  fill_cache(cache, 2 * kRows + 10, 21);
-  ASSERT_EQ(cache.tiles(), 3u);
-  EXPECT_EQ(cache.tile_format(0), fc::TileFmt::kI8);
-  EXPECT_EQ(cache.tile_format(1), fc::TileFmt::kI8);
-  EXPECT_EQ(cache.tile_format(2), fc::TileFmt::kF16);
+TEST(PagedKvQuant, SealedTilesFlipToI8AndTailStaysF16) {
+  kvtest::PagedKv cache = quant_kv(true);
+  kvtest::fill_cache(cache, 2 * kRows + 10, 21);
+  ASSERT_EQ(cache.cache.block_table().size(), 3u);
   const fc::KvSlice s = cache.slice(0);
   ASSERT_NE(s.fmt, nullptr);
   EXPECT_EQ(s.fmt[0], fc::TileFmt::kI8);
+  EXPECT_EQ(s.fmt[1], fc::TileFmt::kI8);
   EXPECT_EQ(s.fmt[2], fc::TileFmt::kF16);
   ASSERT_NE(s.k_i8, nullptr);
   EXPECT_NE(s.k_i8[0], nullptr);
   EXPECT_EQ(s.k_i8[2], nullptr);  // open tail stays fp16
   EXPECT_NE(s.k_scale[0], 0.0f);
-  // Truncation into a sealed tile re-opens it as fp16, losslessly.
-  cache.truncate(kRows + 5);
-  EXPECT_EQ(cache.tile_format(1), fc::TileFmt::kF16);
 }
 
-TEST(KvCacheQuant, DecodeBitIdenticalToDequantizedF16Twin) {
+TEST(PagedKvQuant, DecodeBitIdenticalToDequantizedF16Twin) {
   // The decode kernel widens a kI8 tile by exact dequantization; a fp16
   // cache holding Half(dequantized payload) — exact, <= 7-bit significands —
   // must therefore decode bit-identically.
-  fs::KvCache quant(kHeads, kDim, kStride, fc::ImagePolicy::kNone, true);
-  fill_cache(quant, 2 * kRows + 17, 22);
+  kvtest::PagedKv quant = quant_kv(true);
+  kvtest::fill_cache(quant, 2 * kRows + 17, 22);
 
-  fs::KvCache ref(kHeads, kDim, kStride, fc::ImagePolicy::kNone, false);
+  kvtest::PagedKv ref = quant_kv(false);
   std::mt19937_64 rng(22);
   std::normal_distribution<float> dist(0.0f, 1.0f);
   // Rebuild the reference stream: sealed-tile rows take the dequantized
   // values read back from the quantized cache, tail rows the raw values.
-  std::vector<std::vector<const std::int8_t*>> kq(kHeads), vq(kHeads);
-  std::vector<std::vector<float>> ks(kHeads), vs(kHeads);
-  for (std::size_t h = 0; h < kHeads; ++h) {
-    const fc::KvSlice s = quant.slice(h);
-    for (std::size_t t = 0; t < s.tiles(); ++t) {
-      kq[h].push_back(s.k_i8[t]);
-      vq[h].push_back(s.v_i8[t]);
-      ks[h].push_back(s.k_scale[t]);
-      vs[h].push_back(s.v_scale[t]);
-    }
-  }
-  const std::size_t tokens = quant.length();
+  const std::size_t tokens = quant.cache.length();
   std::vector<Half> k(kHeads * kDim), v(kHeads * kDim);
   for (std::size_t tok = 0; tok < tokens; ++tok) {
     const std::size_t tile = tok / kRows, row = tok % kRows;
     for (std::size_t h = 0; h < kHeads; ++h) {
+      const fc::KvSlice s = quant.slice(h);
       for (std::size_t c = 0; c < kDim; ++c) {
         const float kraw = dist(rng), vraw = dist(rng);
-        if (quant.tile_format(tile) == fc::TileFmt::kI8) {
+        if (s.fmt[tile] == fc::TileFmt::kI8) {
           // K is stored k-major (K^T, dim x 64): logical (row, c) lives at
           // c * 64 + row.  V stays row-major.
-          k[h * kDim + c] =
-              Half(static_cast<float>(kq[h][tile][c * kRows + row]) *
-                   ks[h][tile]);
-          v[h * kDim + c] =
-              Half(static_cast<float>(vq[h][tile][row * kDim + c]) *
-                   vs[h][tile]);
+          k[h * kDim + c] = Half(
+              static_cast<float>(s.k_i8[tile][c * kRows + row]) *
+              s.k_scale[tile]);
+          v[h * kDim + c] = Half(
+              static_cast<float>(s.v_i8[tile][row * kDim + c]) *
+              s.v_scale[tile]);
         } else {
           k[h * kDim + c] = Half(kraw);
           v[h * kDim + c] = Half(vraw);
@@ -622,11 +587,11 @@ TEST(KvCacheQuant, DecodeBitIdenticalToDequantizedF16Twin) {
   }
 }
 
-TEST(KvCacheQuant, DecodeDeterministicAndWithinQuantTolerance) {
-  fs::KvCache quant(kHeads, kDim, kStride, fc::ImagePolicy::kNone, true);
-  fs::KvCache exact(kHeads, kDim, kStride, fc::ImagePolicy::kNone, false);
-  fill_cache(quant, 3 * kRows, 24);
-  fill_cache(exact, 3 * kRows, 24);
+TEST(PagedKvQuant, DecodeDeterministicAndWithinQuantTolerance) {
+  kvtest::PagedKv quant = quant_kv(true);
+  kvtest::PagedKv exact = quant_kv(false);
+  kvtest::fill_cache(quant, 3 * kRows, 24);
+  kvtest::fill_cache(exact, 3 * kRows, 24);
 
   const std::vector<Half> q = random_halves(kHeads * kDim, 25);
   const std::vector<float> a = decode_all_heads(quant, q);
@@ -660,7 +625,7 @@ fs::TilePoolOptions pool_options(std::size_t capacity = 0,
   o.dim = kDim;
   o.capacity_tiles = capacity;
   o.enc_stride = kStride;
-  o.images = images ? fc::ImagePolicy::kF32 : fc::ImagePolicy::kNone;
+  o.images = images ? fc::ImagePolicy::kF16T : fc::ImagePolicy::kNone;
   return o;
 }
 
@@ -697,10 +662,14 @@ TEST(TilePoolQuant, SealedI8TileFreesStagingSlabAndShrinksFootprint) {
   fs::TilePool pool(pool_options(0, /*images=*/true));
   const std::size_t f16_bytes = pool.tile_bytes(fc::TileFmt::kF16);
   const std::size_t i8_bytes = pool.tile_bytes(fc::TileFmt::kI8);
-  // The capacity win the gauges pin: >= 2.9x at dim 64, stride 8, with
-  // fp32 images on (the engine default the int8 format displaces).
-  EXPECT_GE(static_cast<double>(f16_bytes) / static_cast<double>(i8_bytes),
+  // The capacity win the kv_int8_capacity_ratio gauge pins: >= 2.9x at
+  // dim 64, stride 8, over its fixed basis of 3x the bare fp16 slab.  The
+  // i8 tile is also smaller than the default fp16 + f16t-image tile.
+  const std::size_t bare_bytes = pool.slab_halves() * sizeof(Half);
+  EXPECT_GE(static_cast<double>(3 * bare_bytes) /
+                static_cast<double>(i8_bytes),
             2.9);
+  EXPECT_GT(f16_bytes, i8_bytes);
 
   fs::PagedKvCache cache(pool, fc::TileFmt::kI8);
   fill_paged(cache, pool.layers(), kRows, 31);  // exactly one sealed tile
@@ -711,7 +680,7 @@ TEST(TilePoolQuant, SealedI8TileFreesStagingSlabAndShrinksFootprint) {
   // Staging slab freed: fp16 accessors null out, i8 block present.
   EXPECT_EQ(pool.k_tile(id, 0, 0), nullptr);
   EXPECT_EQ(pool.enc_block(id, 0, 0), nullptr);
-  EXPECT_EQ(pool.f32_image(id, 0, 0), nullptr);
+  EXPECT_EQ(pool.f16t_image(id, 0, 0), nullptr);
   EXPECT_NE(pool.i8_block(id, 0, 0), nullptr);
   EXPECT_EQ(pool.bytes_in_use(), i8_bytes);
 }

@@ -287,7 +287,7 @@ struct ScrubRun {
 }  // namespace
 
 TEST(Recovery, ScrubberRepairsChecksumClassFlip) {
-  ScrubRun run(ftt::core::ImagePolicy::kF32);
+  ScrubRun run(ftt::core::ImagePolicy::kF16T);
   fs::DecodeEngine engine(run.model, run.opt);
   const auto id = engine.submit(run.prompt, run.budget);
   engine.step();  // prefill chunk 1: rows 0..63 seal tile 0
@@ -312,55 +312,8 @@ TEST(Recovery, ScrubberRepairsChecksumClassFlip) {
   expect_bitwise(engine.hidden(id), run.clean, "enc-repaired request");
 }
 
-TEST(Recovery, ScrubberRepairsPayloadFromImage) {
-  ScrubRun run(ftt::core::ImagePolicy::kF32);
-  fs::DecodeEngine engine(run.model, run.opt);
-  const auto id = engine.submit(run.prompt, run.budget);
-  engine.step();
-
-  const auto table = engine.kv_block_table(id);
-  ASSERT_GE(table.size(), 1u);
-  fs::TilePool& pool = fs::testing::engine_pool(engine);
-  // Flip an exponent bit of one K payload half: the fresh encode mismatches
-  // the sealed encodings at >= 2 positions (plain + weighted checksum), and
-  // the fp32 image — widened at seal time, before the flip — restores the
-  // exact original bits.
-  fs::testing::flip_slab_bit(pool, table[0], 1, 0, 5, 13);
-
-  const auto stats = engine.step();
-  EXPECT_GE(stats.repaired, 1u);
-  EXPECT_EQ(stats.scrub_dropped, 0u);
-
-  engine.run_until_idle();
-  EXPECT_EQ(engine.preemption_count(id), 0u);
-  expect_bitwise(engine.hidden(id), run.clean, "payload-repaired request");
-}
-
-TEST(Recovery, ScrubberRepairsCorruptImageFromPayload) {
-  ScrubRun run(ftt::core::ImagePolicy::kF32);
-  fs::DecodeEngine engine(run.model, run.opt);
-  const auto id = engine.submit(run.prompt, run.budget);
-  engine.step();
-
-  const auto table = engine.kv_block_table(id);
-  ASSERT_GE(table.size(), 1u);
-  fs::TilePool& pool = fs::testing::engine_pool(engine);
-  // Corrupt the memoized fp32 image only: payload and encodings agree, the
-  // image cross-check catches the divergence, and the fp16 slab (the
-  // authoritative copy) rebuilds the image.  This is the case that MUST be
-  // repaired before compute — clean decode ticks read the image.
-  fs::testing::flip_image_bit(pool, table[0], 0, 1, 7, 27);
-
-  const auto stats = engine.step();
-  EXPECT_GE(stats.repaired, 1u);
-  EXPECT_EQ(stats.scrub_dropped, 0u);
-
-  engine.run_until_idle();
-  expect_bitwise(engine.hidden(id), run.clean, "image-repaired request");
-}
-
 TEST(Recovery, ScrubberDropsUnrepairableTileAndRecomputes) {
-  // Without fp32 images a payload-class corruption has no redundant copy:
+  // Without an image a payload-class corruption has no redundant copy:
   // the tile must be dropped and its owner preempted onto recompute —
   // degraded throughput, never a wrong answer.
   ScrubRun run(ftt::core::ImagePolicy::kNone);
@@ -435,9 +388,9 @@ TEST(Recovery, ScrubberRepairsKPayloadFromF16tImage) {
 }
 
 TEST(Recovery, ScrubberDropsVPayloadCorruptionUnderF16tImages) {
-  // The f16t image carries no V copy (that is the 2x memory saving), so a
-  // V-payload flip has no redundant source: the tile drops and the owner
-  // recomputes — degraded throughput, never a wrong answer.
+  // The f16t image carries no V copy, so a V-payload flip has no redundant
+  // source: the tile drops and the owner recomputes — degraded throughput,
+  // never a wrong answer.
   ScrubRun run(ftt::core::ImagePolicy::kF16T);
   fs::DecodeEngine engine(run.model, run.opt);
   const auto id = engine.submit(run.prompt, run.budget);

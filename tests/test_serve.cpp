@@ -1,17 +1,18 @@
-// Batched fault-tolerant serving: KvCache tiling, efta_decode_batch
+// Batched fault-tolerant serving: paged KV tiling, efta_decode_batch
 // batch-vs-serial bit-identity, fault campaigns through the batched path,
 // and the DecodeEngine submit/step/drain front-end.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <random>
 #include <vector>
 
 #include "core/decode.hpp"
 #include "fault/campaign.hpp"
+#include "kv_fixture.hpp"
 #include "serve/engine.hpp"
-#include "serve/kv_cache.hpp"
 #include "tensor/random.hpp"
 #include "transformer/model.hpp"
 
@@ -22,24 +23,10 @@ namespace fs = ftt::serve;
 namespace ft = ftt::tensor;
 namespace fx = ftt::transformer;
 using ftt::numeric::Half;
+using kvtest::fill_cache;
+using kvtest::PagedKv;
 
 namespace {
-
-/// Fill a cache with `tokens` seeded-random tokens; returns nothing, the
-/// cache owns the data.
-void fill_cache(fs::KvCache& cache, std::size_t tokens, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  const std::size_t w = cache.heads() * cache.dim();
-  std::vector<Half> k(w), v(w);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    for (std::size_t i = 0; i < w; ++i) {
-      k[i] = Half(dist(rng));
-      v[i] = Half(dist(rng));
-    }
-    cache.append(k, v);
-  }
-}
 
 std::vector<Half> random_query(std::size_t d, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -80,22 +67,22 @@ TEST(FtReport, MergeAccumulatesAllCounters) {
   EXPECT_EQ(a.total_detected(), sum.total_detected());
 }
 
-TEST(KvCache, GrowsInAlignedTilesWithStableStorage) {
-  fs::KvCache cache(2, 32);
-  EXPECT_EQ(cache.length(), 0u);
-  EXPECT_EQ(cache.tiles(), 0u);
+TEST(PagedKv, GrowsInAlignedTilesWithStableStorage) {
+  PagedKv cache(2, 32);
+  EXPECT_EQ(cache.cache.length(), 0u);
+  EXPECT_EQ(cache.cache.block_table().size(), 0u);
 
   fill_cache(cache, 1, 1);
-  EXPECT_EQ(cache.length(), 1u);
-  EXPECT_EQ(cache.tiles(), 1u);
+  EXPECT_EQ(cache.cache.length(), 1u);
+  EXPECT_EQ(cache.cache.block_table().size(), 1u);
   const fc::KvSlice first = cache.slice(0);
   const Half* tile0_k = first.k_tiles[0];
   const float k000 = tile0_k[0].to_float();
 
   // Appending across a tile boundary must not relocate tile 0's rows.
   fill_cache(cache, 130, 2);
-  EXPECT_EQ(cache.length(), 131u);
-  EXPECT_EQ(cache.tiles(), 3u);
+  EXPECT_EQ(cache.cache.length(), 131u);
+  EXPECT_EQ(cache.cache.block_table().size(), 3u);
   const fc::KvSlice after = cache.slice(0);
   EXPECT_EQ(after.k_tiles[0], tile0_k);
   EXPECT_EQ(tile0_k[0].to_float(), k000);
@@ -106,16 +93,16 @@ TEST(KvCache, GrowsInAlignedTilesWithStableStorage) {
   // padding convention the ragged-tail checksums assume.
   const std::size_t tail_rows = 131u - 2u * 64u;
   const Half* tail = after.k_tiles[2];
-  for (std::size_t r = tail_rows; r < fs::KvCache::kTileRows; ++r) {
+  for (std::size_t r = tail_rows; r < fs::TilePool::kTileRows; ++r) {
     for (std::size_t c = 0; c < 32; ++c) {
       EXPECT_EQ(tail[r * 32 + c].bits(), 0u);
     }
   }
 }
 
-TEST(KvCache, SealsEncodingsOncePerFullTile) {
-  fs::KvCache cache(2, 32);
-  EXPECT_EQ(cache.enc_stride(), 8);
+TEST(PagedKv, SealsEncodingsOncePerFullTile) {
+  PagedKv cache(2, 32);
+  EXPECT_EQ(cache.pool.enc_stride(), 8);
   fill_cache(cache, 63, 11);
   {
     const fc::KvSlice sl = cache.slice(0);
@@ -142,85 +129,17 @@ TEST(KvCache, SealsEncodingsOncePerFullTile) {
   EXPECT_EQ(cache.slice(1).k_c1[0], enc0);
 
   // A stride that cannot tile the footprint (or an explicit 0) disables
-  // memoization instead of rejecting the cache; decode still works via the
+  // memoization instead of rejecting the pool; decode still works via the
   // fresh-encode fallback.
-  fs::KvCache nomemo(1, 32, 5);
-  EXPECT_EQ(nomemo.enc_stride(), 0);
+  PagedKv nomemo(1, 32, 5);
+  EXPECT_EQ(nomemo.pool.enc_stride(), 0);
   fill_cache(nomemo, 70, 14);
   EXPECT_EQ(nomemo.slice(0).enc_stride, 0);
   EXPECT_EQ(nomemo.slice(0).k_c1[0], nullptr);
   const auto q = random_query(32, 15);
   std::vector<float> out(32);
   fc::efta_decode_step(nomemo.slice(0), q, out, fc::EftaOptions{});
-  EXPECT_EQ(fs::KvCache(1, 32, 0).enc_stride(), 0);
-}
-
-TEST(KvCache, SealAllocationFailureDegradesToFreshEncodes) {
-  // The seal_tiles allocation-failure fallback, exercised through the
-  // injectable hook: when an encoding-block allocation fails mid-seal, the
-  // append must still succeed, the affected entries stay null, and decode
-  // falls back to fresh per-call encodes with bit-identical results.
-  constexpr std::size_t kHeads = 2, kDim = 64;
-  fs::KvCache cache(kHeads, kDim);
-  ft::MatrixH K(128, kDim), V(128, kDim);  // head-0 mirror for the reference
-  std::mt19937_64 rng(0xfa11);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  std::vector<Half> k(kHeads * kDim), v(kHeads * kDim);
-  auto append_one = [&](std::size_t t) {
-    for (std::size_t i = 0; i < kHeads * kDim; ++i) {
-      k[i] = Half(dist(rng));
-      v[i] = Half(dist(rng));
-    }
-    cache.append(k, v);
-    for (std::size_t c = 0; c < kDim; ++c) {
-      K(t, c) = k[c];
-      V(t, c) = v[c];
-    }
-  };
-
-  for (std::size_t t = 0; t < 63; ++t) append_one(t);  // no seal yet
-  const std::size_t bytes_before_seal = cache.bytes();
-  // Arm the hook: the next enc-block allocation throws bad_alloc, aborting
-  // tile 0's seal — its entries stay null for every head.
-  fs::testing::seal_alloc_failures() = 1;
-  append_one(63);  // crosses the tile boundary: seal attempted, fails
-  EXPECT_EQ(fs::testing::seal_alloc_failures(), 0u);  // hook fired
-  EXPECT_EQ(cache.length(), 64u);  // the append itself committed
-  EXPECT_EQ(cache.slice(0).k_c1[0], nullptr);
-  EXPECT_EQ(cache.slice(1).k_c1[0], nullptr);
-  // bytes() must not charge for blocks the failed seal never allocated.
-  EXPECT_EQ(cache.bytes(), bytes_before_seal);
-
-  // Null entries degrade to fresh per-call encodes — never wrong results:
-  // bit-identical to the contiguous-cache overload that always encodes.
-  const auto q = random_query(kDim, 0xfa12);
-  std::vector<float> out_cache(kDim), out_ref(kDim);
-  {
-    ft::MatrixH K64(64, kDim), V64(64, kDim);
-    for (std::size_t t = 0; t < 64; ++t) {
-      for (std::size_t c = 0; c < kDim; ++c) {
-        K64(t, c) = K(t, c);
-        V64(t, c) = V(t, c);
-      }
-    }
-    fc::efta_decode_step(cache.slice(0), q, out_cache);
-    fc::efta_decode_step(K64, V64, q, out_ref);
-    for (std::size_t c = 0; c < kDim; ++c) {
-      EXPECT_EQ(out_cache[c], out_ref[c]) << c;
-    }
-  }
-
-  // With the hook disarmed, later tiles seal normally — the failure is not
-  // sticky — and mixed null/sealed tiles still decode bit-identically.
-  for (std::size_t t = 64; t < 128; ++t) append_one(t);
-  EXPECT_EQ(cache.slice(0).k_c1[0], nullptr);   // tile 0 stays unsealed
-  EXPECT_NE(cache.slice(0).k_c1[1], nullptr);   // tile 1 sealed normally
-  EXPECT_NE(cache.slice(1).v_c2[1], nullptr);
-  fc::efta_decode_step(cache.slice(0), q, out_cache);
-  fc::efta_decode_step(K, V, q, out_ref);
-  for (std::size_t c = 0; c < kDim; ++c) {
-    EXPECT_EQ(out_cache[c], out_ref[c]) << c;
-  }
+  EXPECT_EQ(PagedKv(1, 32, 0).pool.enc_stride(), 0);
 }
 
 TEST(Serve, FullTileReadsAreZeroCopy) {
@@ -233,13 +152,13 @@ TEST(Serve, FullTileReadsAreZeroCopy) {
   std::vector<float> out(kDim);
   std::size_t& count = fc::testing::tiles_materialized();
 
-  fs::KvCache ragged(1, kDim);
+  PagedKv ragged(1, kDim);
   fill_cache(ragged, 130, 22);  // 2 full tiles + 2-row tail
   std::size_t before = count;
   fc::efta_decode_step(ragged.slice(0), q, out);
   EXPECT_EQ(count - before, 1u);  // only the tail tile was materialized
 
-  fs::KvCache aligned(1, kDim);
+  PagedKv aligned(1, kDim);
   fill_cache(aligned, 128, 23);  // 2 full tiles, no tail
   before = count;
   fc::efta_decode_step(aligned.slice(0), q, out);
@@ -250,7 +169,7 @@ TEST(Serve, BatchedDecodeBitIdenticalToSerialLoop) {
   // Heterogeneous context lengths, including ragged tails.
   const std::size_t lengths[] = {33, 64, 100, 127, 1};
   constexpr std::size_t kHeads = 2, kDim = 32;
-  std::vector<fs::KvCache> caches;
+  std::deque<PagedKv> caches;
   for (std::size_t i = 0; i < std::size(lengths); ++i) {
     caches.emplace_back(kHeads, kDim);
     fill_cache(caches.back(), lengths[i], 1000 + i);
@@ -308,7 +227,7 @@ TEST(Serve, BatchedDecodeBitIdenticalToSerialLoop) {
 TEST(Serve, UnarmedProbeCountsCallsThroughBatch) {
   // Campaign sizing: a null-op injector threaded through the batch path
   // must still observe the per-site call counts.
-  fs::KvCache cache(1, 64);
+  PagedKv cache(1, 64);
   fill_cache(cache, 100, 9);
   const auto q = random_query(64, 10);
   std::vector<float> out(64);
@@ -324,7 +243,7 @@ TEST(Serve, UnarmedProbeCountsCallsThroughBatch) {
 TEST(Serve, BatchFaultCampaignStillCorrects) {
   const std::size_t lengths[] = {100, 65};
   constexpr std::size_t kHeads = 1, kDim = 64;
-  std::vector<fs::KvCache> caches;
+  std::deque<PagedKv> caches;
   std::vector<std::vector<Half>> queries;
   for (std::size_t i = 0; i < std::size(lengths); ++i) {
     caches.emplace_back(kHeads, kDim);
@@ -414,25 +333,34 @@ struct TokenStream {
 }  // namespace
 
 TEST(Serve, MemoizedEncodingsBitIdenticalToFreshEncode) {
-  // A KvCache-backed decode consumes sealed per-tile encodings; the
-  // contiguous-cache overload re-encodes every tile per call.  The two must
-  // agree bit for bit — the memo is the same computation, done once.
+  // A pool with the encoding memo decodes from sealed per-tile encodings;
+  // a pool built at enc_stride = 0 re-encodes every tile per call.  The two
+  // must agree bit for bit — the memo is the same computation, done once.
   constexpr std::size_t kDim = 64, kN = 197;  // 3 full tiles + ragged tail
   const TokenStream ts(kN, kDim, 0xeca1);
-  fs::KvCache cache(1, kDim);
-  ft::MatrixH K(kN, kDim), V(kN, kDim);
+  PagedKv memo(1, kDim), fresh(1, kDim, /*enc_stride=*/0);
   for (std::size_t t = 0; t < kN; ++t) {
-    cache.append(ts.row(ts.k, t), ts.row(ts.v, t));
+    memo.append(ts.row(ts.k, t), ts.row(ts.v, t));
+    fresh.append(ts.row(ts.k, t), ts.row(ts.v, t));
+  }
+  // The tiles hold exactly the appended rows.
+  const fc::KvSlice sl = memo.slice(0);
+  constexpr std::size_t kRows = fs::TilePool::kTileRows;
+  for (std::size_t t = 0; t < kN; ++t) {
+    const std::size_t tile = t / kRows, row = (t % kRows) * kDim;
     for (std::size_t c = 0; c < kDim; ++c) {
-      K(t, c) = ts.k[t * kDim + c];
-      V(t, c) = ts.v[t * kDim + c];
+      ASSERT_EQ(sl.k_tiles[tile][row + c].bits(), ts.k[t * kDim + c].bits());
+      ASSERT_EQ(sl.v_tiles[tile][row + c].bits(), ts.v[t * kDim + c].bits());
     }
   }
+  ASSERT_NE(sl.k_c1[0], nullptr);
+  ASSERT_EQ(fresh.slice(0).enc_stride, 0);
+
   const auto q = ts.row(ts.q, 0);
   std::vector<float> out_memo(kDim), out_fresh(kDim);
-  const fa::FtReport rep_memo =
-      fc::efta_decode_step(cache.slice(0), q, out_memo);
-  const fa::FtReport rep_fresh = fc::efta_decode_step(K, V, q, out_fresh);
+  const fa::FtReport rep_memo = fc::efta_decode_step(sl, q, out_memo);
+  const fa::FtReport rep_fresh =
+      fc::efta_decode_step(fresh.slice(0), q, out_fresh);
   for (std::size_t c = 0; c < kDim; ++c) {
     EXPECT_EQ(out_memo[c], out_fresh[c]) << c;
   }
@@ -445,38 +373,37 @@ TEST(Serve, MemoizedEncodingsBitIdenticalToFreshEncode) {
   fc::EftaOptions wide;
   wide.stride = 16;
   std::vector<float> memo16(kDim), fresh16(kDim);
-  fc::efta_decode_step(cache.slice(0), q, memo16, wide);
-  fc::efta_decode_step(K, V, q, fresh16, wide);
+  fc::efta_decode_step(sl, q, memo16, wide);
+  fc::efta_decode_step(fresh.slice(0), q, fresh16, wide);
   for (std::size_t c = 0; c < kDim; ++c) {
     EXPECT_EQ(memo16[c], fresh16[c]) << c;
   }
 }
 
-TEST(KvCache, AppendChunkMatchesPerTokenAppend) {
+TEST(PagedKv, AppendChunkMatchesPerTokenAppend) {
   constexpr std::size_t kHeads = 2, kDim = 32, kTokens = 130;
   const TokenStream ts(kTokens, kHeads * kDim, 41);
 
-  fs::KvCache per_token(kHeads, kDim), chunked(kHeads, kDim);
+  PagedKv per_token(kHeads, kDim), chunked(kHeads, kDim);
   for (std::size_t t = 0; t < kTokens; ++t) {
     per_token.append(ts.row(ts.k, t), ts.row(ts.v, t));
   }
   const std::size_t chunks[] = {64, 50, 16};  // 130 rows, ragged tail tile
   std::size_t base = 0;
   for (const std::size_t rows : chunks) {
-    chunked.append_chunk({ts.k.data() + base * kHeads * kDim,
-                          rows * kHeads * kDim},
-                         {ts.v.data() + base * kHeads * kDim,
-                          rows * kHeads * kDim},
-                         rows);
+    chunked.append({ts.k.data() + base * kHeads * kDim, rows * kHeads * kDim},
+                   {ts.v.data() + base * kHeads * kDim, rows * kHeads * kDim},
+                   rows);
     base += rows;
   }
 
-  ASSERT_EQ(per_token.length(), chunked.length());
-  ASSERT_EQ(per_token.tiles(), chunked.tiles());
+  ASSERT_EQ(per_token.cache.length(), chunked.cache.length());
+  ASSERT_EQ(per_token.cache.block_table().size(),
+            chunked.cache.block_table().size());
   for (std::size_t h = 0; h < kHeads; ++h) {
     const fc::KvSlice a = per_token.slice(h), b = chunked.slice(h);
     for (std::size_t j = 0; j < a.tiles(); ++j) {
-      for (std::size_t i = 0; i < fs::KvCache::kTileRows * kDim; ++i) {
+      for (std::size_t i = 0; i < fs::TilePool::kTileRows * kDim; ++i) {
         ASSERT_EQ(a.k_tiles[j][i].bits(), b.k_tiles[j][i].bits());
         ASSERT_EQ(a.v_tiles[j][i].bits(), b.v_tiles[j][i].bits());
       }
@@ -491,7 +418,7 @@ TEST(Prefill, ChunkBitIdenticalToTokenByTokenDecode) {
   // Reference: grow the cache token by token; each token's attention over
   // its own prefix is one protected decode step.
   std::vector<float> ref(kTokens * kDim);
-  fs::KvCache cache_ref(1, kDim);
+  PagedKv cache_ref(1, kDim);
   fa::FtReport ref_rep;
   for (std::size_t t = 0; t < kTokens; ++t) {
     cache_ref.append(ts.row(ts.k, t), ts.row(ts.v, t));
@@ -507,13 +434,13 @@ TEST(Prefill, ChunkBitIdenticalToTokenByTokenDecode) {
   const std::vector<std::vector<std::size_t>> schedules = {
       {64, 64, 22}, {30, 50, 40, 30}, {1, 63, 64, 21, 1}};
   for (const auto& schedule : schedules) {
-    fs::KvCache cache(1, kDim);
+    PagedKv cache(1, kDim);
     std::vector<float> out(kTokens * kDim, 0.0f);
     fa::FtReport rep;
     std::size_t base = 0;
     for (const std::size_t rows : schedule) {
-      cache.append_chunk({ts.k.data() + base * kDim, rows * kDim},
-                         {ts.v.data() + base * kDim, rows * kDim}, rows);
+      cache.append({ts.k.data() + base * kDim, rows * kDim},
+                   {ts.v.data() + base * kDim, rows * kDim}, rows);
       rep += fc::efta_decode_block(fc::DecodeWorkItem{
           cache.slice(0), ts.q.data() + base * kDim,
           out.data() + base * kDim, rows, 0, 0});
@@ -538,9 +465,9 @@ TEST(Prefill, BatchMatchesSerialChunksAndHandlesEmpty) {
 
   constexpr std::size_t kDim = 64, kTokens = 100;
   const TokenStream a(kTokens, kDim, 7), b(70, kDim, 8);
-  fs::KvCache ca(1, kDim), cb(1, kDim);
-  ca.append_chunk({a.k.data(), 64 * kDim}, {a.v.data(), 64 * kDim}, 64);
-  cb.append_chunk({b.k.data(), 64 * kDim}, {b.v.data(), 64 * kDim}, 64);
+  PagedKv ca(1, kDim), cb(1, kDim);
+  ca.append({a.k.data(), 64 * kDim}, {a.v.data(), 64 * kDim}, 64);
+  cb.append({b.k.data(), 64 * kDim}, {b.v.data(), 64 * kDim}, 64);
   std::vector<float> out_batch(2 * 64 * kDim), out_serial(2 * 64 * kDim);
   std::vector<fc::DecodeWorkItem> items{
       fc::DecodeWorkItem{ca.slice(0), a.q.data(), out_batch.data(), 64, 0, 0},
@@ -569,8 +496,8 @@ TEST(Prefill, BatchMatchesSerialChunksAndHandlesEmpty) {
   bad[0] = fc::DecodeWorkItem{ca.slice(0), a.q.data(), out_batch.data(), 0,
                               0, 0};  // empty block
   EXPECT_THROW(fc::efta_decode_batch(bad), std::invalid_argument);
-  fs::KvCache tiny(1, kDim);
-  tiny.append_chunk({a.k.data(), 2 * kDim}, {a.v.data(), 2 * kDim}, 2);
+  PagedKv tiny(1, kDim);
+  tiny.append({a.k.data(), 2 * kDim}, {a.v.data(), 2 * kDim}, 2);
   bad[0] = fc::DecodeWorkItem{tiny.slice(0), a.q.data(), out_batch.data(), 3,
                               0, 0};  // cache doesn't hold the block's rows
   EXPECT_THROW(fc::efta_decode_batch(bad), std::invalid_argument);
@@ -579,9 +506,9 @@ TEST(Prefill, BatchMatchesSerialChunksAndHandlesEmpty) {
 TEST(Prefill, FaultCampaignStillCorrects) {
   constexpr std::size_t kDim = 64, kTokens = 100;
   const TokenStream ts(kTokens, kDim, 0xfa117);
-  fs::KvCache cache(1, kDim);
-  cache.append_chunk({ts.k.data(), kTokens * kDim},
-                     {ts.v.data(), kTokens * kDim}, kTokens);
+  PagedKv cache(1, kDim);
+  cache.append({ts.k.data(), kTokens * kDim}, {ts.v.data(), kTokens * kDim},
+               kTokens);
 
   // Clean reference for the final chunk (rows 64..99 over the full cache).
   std::vector<float> clean(36 * kDim);

@@ -6,14 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <random>
 #include <vector>
 
 #include "core/decode.hpp"
 #include "fault/fault.hpp"
+#include "kv_fixture.hpp"
 #include "serve/combiner.hpp"
 #include "serve/engine.hpp"
-#include "serve/kv_cache.hpp"
 #include "serve/shard.hpp"
 #include "tensor/random.hpp"
 #include "transformer/model.hpp"
@@ -54,20 +55,6 @@ fx::Model make_spec_model() {
     beta[c] = 0.25f + 0.001f * static_cast<float>(c);
   }
   return model;
-}
-
-void fill_cache(fs::KvCache& cache, std::size_t tokens, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  const std::size_t w = cache.heads() * cache.dim();
-  std::vector<Half> k(w), v(w);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    for (std::size_t i = 0; i < w; ++i) {
-      k[i] = Half(dist(rng));
-      v[i] = Half(dist(rng));
-    }
-    cache.append(k, v);
-  }
 }
 
 void expect_reports_equal(const fa::FtReport& a, const fa::FtReport& b,
@@ -213,10 +200,10 @@ TEST(ShardSpec, MoreShardsThanHeadsYieldsEmptyShards) {
 TEST(Sharding, HeadRangeBatchUnionMatchesFullBatch) {
   const std::size_t lengths[] = {33, 100, 1};
   constexpr std::size_t kHeads = 3, kDim = 32;
-  std::vector<fs::KvCache> caches;
+  std::deque<kvtest::PagedKv> caches;
   for (std::size_t i = 0; i < std::size(lengths); ++i) {
     caches.emplace_back(kHeads, kDim);
-    fill_cache(caches.back(), lengths[i], 4000 + i);
+    kvtest::fill_cache(caches.back(), lengths[i], 4000 + i);
   }
 
   const std::size_t items_n = caches.size() * kHeads;

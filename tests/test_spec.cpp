@@ -15,7 +15,6 @@
 #include "core/decode.hpp"
 #include "fault/fault.hpp"
 #include "serve/engine.hpp"
-#include "serve/kv_cache.hpp"
 #include "serve/proposer.hpp"
 #include "serve/tile_pool.hpp"
 #include "tensor/random.hpp"
@@ -114,56 +113,6 @@ void expect_same_stream(fs::DecodeEngine& a, fs::DecodeEngine::RequestId ida,
 // Kernel + cache rollback primitives.
 // ---------------------------------------------------------------------------
 
-TEST(KvCacheTruncate, RollbackLeavesNoTrace) {
-  // Speculate 5 rows over a 62-token cache (crossing the 64-row tile
-  // boundary), roll them back, then append a different continuation: the
-  // cache must be bit-identical to one that never speculated — zeroed
-  // padding rows, dropped memo for the re-opened tile, identical decode.
-  constexpr std::size_t kDim = 64, kBase = 62, kSpec = 5;
-  std::mt19937_64 rng(0x5bec);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  const auto rand_rows = [&](std::size_t rows) {
-    std::vector<Half> v(rows * kDim);
-    for (auto& x : v) x = Half(dist(rng));
-    return v;
-  };
-  const auto base_k = rand_rows(kBase), base_v = rand_rows(kBase);
-  const auto spec_k = rand_rows(kSpec), spec_v = rand_rows(kSpec);
-  const auto real_k = rand_rows(kSpec), real_v = rand_rows(kSpec);
-
-  fs::KvCache speculated(1, kDim), clean(1, kDim);
-  speculated.append_chunk(base_k, base_v, kBase);
-  clean.append_chunk(base_k, base_v, kBase);
-
-  speculated.append_chunk(spec_k, spec_v, kSpec);  // 67 rows: tile 0 sealed
-  ASSERT_EQ(speculated.length(), kBase + kSpec);
-  ASSERT_NE(speculated.slice(0).k_c1[0], nullptr);
-  speculated.truncate(kBase);  // reject everything
-  EXPECT_EQ(speculated.length(), kBase);
-  // Tile 0 re-opened: its memo must be gone (it no longer describes the
-  // tile) and the rolled-back rows must read as zero padding again.
-  EXPECT_EQ(speculated.slice(0).k_c1[0], nullptr);
-  const fc::KvSlice sl = speculated.slice(0);
-  for (std::size_t r = kBase; r < fs::KvCache::kTileRows; ++r) {
-    for (std::size_t c = 0; c < kDim; ++c) {
-      ASSERT_EQ(sl.k_tiles[0][r * kDim + c].bits(), 0u) << r;
-      ASSERT_EQ(sl.v_tiles[0][r * kDim + c].bits(), 0u) << r;
-    }
-  }
-
-  speculated.append_chunk(real_k, real_v, kSpec);
-  clean.append_chunk(real_k, real_v, kSpec);
-  ASSERT_EQ(speculated.length(), clean.length());
-  EXPECT_NE(speculated.slice(0).k_c1[0], nullptr);  // re-sealed on refill
-
-  std::vector<Half> q(kDim);
-  for (auto& x : q) x = Half(dist(rng));
-  std::vector<float> out_spec(kDim), out_clean(kDim);
-  fc::efta_decode_step(speculated.slice(0), q, out_spec);
-  fc::efta_decode_step(clean.slice(0), q, out_clean);
-  expect_bitwise_equal(out_spec, out_clean, "decode after rollback");
-}
-
 TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   constexpr std::size_t kLayers = 2, kHeads = 1, kDim = 64;
   fs::TilePool pool(
@@ -182,6 +131,27 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   // boundary with sealing deferred.
   const auto base_k = rows_of(60), base_v = rows_of(60);
   const auto spec_k = rows_of(7), spec_v = rows_of(7);
+
+  // A never-speculated twin holding exactly the context the first commit
+  // below keeps (60 base rows + 5 accepted rows): after every rollback the
+  // speculated cache must decode bit-identically to it.
+  fs::PagedKvCache twin(pool);
+  ASSERT_TRUE(twin.ensure_capacity(65));
+  for (std::size_t l = 0; l < kLayers; ++l) {
+    twin.append_chunk(l, base_k, base_v, 60);
+    twin.append_chunk(l, {spec_k.data(), 5 * kDim}, {spec_v.data(), 5 * kDim},
+                      5);
+  }
+  const auto q = rows_of(1);
+  const auto expect_matches_twin = [&](const char* what) {
+    for (std::size_t l = 0; l < kLayers; ++l) {
+      std::vector<float> out(kDim), ref(kDim);
+      fc::efta_decode_step(cache.slice(l, 0), q, out);
+      fc::efta_decode_step(twin.slice(l, 0), q, ref);
+      expect_bitwise_equal(out, ref, what);
+    }
+  };
+
   ASSERT_TRUE(cache.ensure_capacity(67));
   for (std::size_t l = 0; l < kLayers; ++l) {
     cache.append_chunk(l, base_k, base_v, 60);
@@ -216,6 +186,7 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
       ASSERT_EQ(sl.k_tiles[1][r * kDim + c].bits(), 0u) << r;
     }
   }
+  expect_matches_twin("decode after partial commit");
 
   // Reject an entire follow-up draft that had opened a fresh tile: the
   // empty tail tile goes back to the pool.
@@ -228,10 +199,12 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   cache.truncate(65);  // reject all 64 speculative rows
   EXPECT_EQ(cache.block_table().size(), 2u);
   EXPECT_EQ(pool.in_use(), in_use_before);
+  expect_matches_twin("decode after full rejection");
 
   // Rolling back into the sealed region is a logic error, not a rollback.
   EXPECT_THROW(cache.truncate(63), std::logic_error);
   cache.release_all();
+  twin.release_all();
   EXPECT_EQ(pool.in_use(), 0u);
 }
 

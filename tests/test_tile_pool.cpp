@@ -1,5 +1,5 @@
 // Paged KV tile pool: refcounting, LRU eviction and prefix-registry unit
-// tests; PagedKvCache bit-parity with the per-request KvCache; and the
+// tests; PagedKvCache storage and decode parity with fresh encodes; and the
 // randomized engine stress test the acceptance criteria name — refcounts
 // never underflow, evicted tiles are never reachable from a live block
 // table, shared-prefix decode is bit-identical to unshared decode, and a
@@ -14,7 +14,6 @@
 #include "core/decode.hpp"
 #include "fault/fault.hpp"
 #include "serve/engine.hpp"
-#include "serve/kv_cache.hpp"
 #include "serve/tile_pool.hpp"
 #include "tensor/random.hpp"
 #include "transformer/model.hpp"
@@ -173,28 +172,35 @@ TEST(TilePool, PrefixRegistryLruEvictionAndRescue) {
   EXPECT_EQ(pool.acquire(), fs::TilePool::kNoTile);  // all referenced again
 }
 
-TEST(PagedKvCache, BitIdenticalToPerRequestKvCache) {
+TEST(PagedKvCache, StoresInputAndDecodesLikeFreshEncodes) {
   constexpr std::size_t kLayers = 2, kHeads = 2, kDim = 32, kTokens = 150;
+  constexpr std::size_t kW = kHeads * kDim, kRows = fs::TilePool::kTileRows;
   fs::TilePool pool(pool_opts(kLayers, kHeads, kDim, 0));
-  // Explicit fp16: this test pins the pooled fp16 storage bit-identical to
-  // the per-request KvCache, so it must not follow the FTT_KV_QUANT
-  // default (a sealed kI8 tile frees the fp16 slab the comparison reads).
+  // Reference: the same appends into a pool without the encoding memo, so
+  // its decode encodes every tile fresh per call.
+  fs::TilePoolOptions fresh_opt = pool_opts(kLayers, kHeads, kDim, 0);
+  fresh_opt.enc_stride = 0;
+  fs::TilePool fresh_pool(fresh_opt);
+  // Explicit fp16: this test reads the pooled fp16 rows back, so it must
+  // not follow the FTT_KV_QUANT default (a sealed kI8 tile frees them).
   fs::PagedKvCache paged(pool, fc::TileFmt::kF16);
+  fs::PagedKvCache fresh(fresh_pool, fc::TileFmt::kF16);
 
-  // Reference caches, one per layer, fed identical tokens.
-  std::vector<fs::KvCache> ref;
-  for (std::size_t l = 0; l < kLayers; ++l) ref.emplace_back(kHeads, kDim);
-
-  // Mixed chunk schedule crossing tile boundaries, like real ticks.
+  // Mixed chunk schedule crossing tile boundaries, like real ticks; the
+  // appended rows are kept per layer for the storage check.
   const std::size_t chunks[] = {64, 50, 1, 35};
+  std::vector<std::vector<Half>> input_k(kLayers), input_v(kLayers);
   std::size_t base = 0;
   for (const std::size_t rows : chunks) {
     ASSERT_TRUE(paged.ensure_capacity(base + rows));
+    ASSERT_TRUE(fresh.ensure_capacity(base + rows));
     for (std::size_t l = 0; l < kLayers; ++l) {
-      const auto k = random_halves(rows * kHeads * kDim, 100 + base * 7 + l);
-      const auto v = random_halves(rows * kHeads * kDim, 900 + base * 7 + l);
+      const auto k = random_halves(rows * kW, 100 + base * 7 + l);
+      const auto v = random_halves(rows * kW, 900 + base * 7 + l);
       paged.append_chunk(l, k, v, rows);
-      ref[l].append_chunk(k, v, rows);
+      fresh.append_chunk(l, k, v, rows);
+      input_k[l].insert(input_k[l].end(), k.begin(), k.end());
+      input_v[l].insert(input_v[l].end(), v.begin(), v.end());
     }
     base += rows;
   }
@@ -203,39 +209,36 @@ TEST(PagedKvCache, BitIdenticalToPerRequestKvCache) {
   EXPECT_EQ(paged.block_table().size(), 3u);
   EXPECT_EQ(paged.shared_tiles(), 0u);
 
-  // Tiles, lengths and sealed encodings all match the per-request cache bit
-  // for bit — the paged path is the same computation over pooled storage.
+  // Tiles hold exactly the appended rows; full tiles carry sealed
+  // encodings, the open tail none; and decode over the sealed encodings is
+  // bit-identical to decode with fresh per-call encodes.
+  const auto q = random_halves(kDim, 55);
   for (std::size_t l = 0; l < kLayers; ++l) {
     for (std::size_t h = 0; h < kHeads; ++h) {
-      const fc::KvSlice a = ref[l].slice(h);
-      const fc::KvSlice b = paged.slice(l, h);
-      ASSERT_EQ(a.n, b.n);
-      ASSERT_EQ(a.enc_stride, b.enc_stride);
-      for (std::size_t t = 0; t < a.tiles(); ++t) {
-        for (std::size_t i = 0; i < fs::KvCache::kTileRows * kDim; ++i) {
-          ASSERT_EQ(a.k_tiles[t][i].bits(), b.k_tiles[t][i].bits());
-          ASSERT_EQ(a.v_tiles[t][i].bits(), b.v_tiles[t][i].bits());
-        }
-        ASSERT_EQ(a.k_c1[t] == nullptr, b.k_c1[t] == nullptr) << t;
-        if (a.k_c1[t] != nullptr) {
-          const auto su = static_cast<std::size_t>(a.enc_stride);
-          for (std::size_t i = 0; i < su * kDim; ++i) {
-            ASSERT_EQ(a.k_c1[t][i].bits(), b.k_c1[t][i].bits());
-            ASSERT_EQ(a.k_c2[t][i].bits(), b.k_c2[t][i].bits());
-          }
-          for (std::size_t i = 0; i < fs::KvCache::kTileRows * su; ++i) {
-            ASSERT_EQ(a.v_c1[t][i].bits(), b.v_c1[t][i].bits());
-            ASSERT_EQ(a.v_c2[t][i].bits(), b.v_c2[t][i].bits());
-          }
+      const fc::KvSlice s = paged.slice(l, h);
+      ASSERT_EQ(s.n, kTokens);
+      for (std::size_t t = 0; t < kTokens; ++t) {
+        const std::size_t tile = t / kRows, row = (t % kRows) * kDim;
+        for (std::size_t c = 0; c < kDim; ++c) {
+          const std::size_t i = t * kW + h * kDim + c;
+          ASSERT_EQ(s.k_tiles[tile][row + c].bits(), input_k[l][i].bits());
+          ASSERT_EQ(s.v_tiles[tile][row + c].bits(), input_v[l][i].bits());
         }
       }
+      EXPECT_NE(s.k_c1[0], nullptr);
+      EXPECT_NE(s.v_c2[1], nullptr);
+      EXPECT_EQ(s.k_c1[2], nullptr);
+      std::vector<float> out(kDim), ref(kDim);
+      fc::efta_decode_step(s, q, out);
+      fc::efta_decode_step(fresh.slice(l, h), q, ref);
+      for (std::size_t c = 0; c < kDim; ++c) ASSERT_EQ(out[c], ref[c]) << c;
     }
   }
 
   // Appending beyond ensured capacity is a protocol violation, not an
   // implicit allocation — the engine's memory phase is the only allocator.
   const auto k1 = random_halves(kHeads * kDim, 77);
-  EXPECT_THROW(paged.append_chunk(0, k1, k1, fs::KvCache::kTileRows),
+  EXPECT_THROW(paged.append_chunk(0, k1, k1, fs::TilePool::kTileRows),
                std::logic_error);
 
   // Full tiles sealed through the pool are attachable by another cache and
