@@ -145,6 +145,26 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     const bool is_i8 = it.kv.fmt != nullptr && it.kv.fmt[j] == TileFmt::kI8;
     const Half* kt = is_i8 ? nullptr : it.kv.k_tiles[j];
     const Half* vt = is_i8 ? nullptr : it.kv.v_tiles[j];
+#if defined(__GNUC__) || defined(__clang__)
+    // Software prefetch of the next tile's payload stream: the batched path
+    // is memory-bound (each tile is consumed once per block), so issuing the
+    // first touch a full tile of compute ahead hides the leading miss.  The
+    // hardware prefetcher follows the contiguous stream from there.  Pure
+    // hint — no semantic effect, so every bit-identity contract holds.
+    if (j + 1 < nblk) {
+      const std::size_t jn = j + 1;
+      if (cache_ok && it.kv.f16t != nullptr && it.kv.f16t[jn] != nullptr) {
+        __builtin_prefetch(it.kv.f16t[jn], 0, 3);
+        __builtin_prefetch(it.kv.v_tiles[jn], 0, 3);
+      } else if (it.kv.fmt != nullptr && it.kv.fmt[jn] == TileFmt::kI8) {
+        __builtin_prefetch(it.kv.k_i8[jn], 0, 3);
+        __builtin_prefetch(it.kv.v_i8[jn], 0, 3);
+      } else {
+        __builtin_prefetch(it.kv.k_tiles[jn], 0, 3);
+        __builtin_prefetch(it.kv.v_tiles[jn], 0, 3);
+      }
+    }
+#endif
     // Image tier (kF16T policy): the sealed tile's K-side operands were
     // pre-transposed at seal but kept at half width, so a clean tick does
     // no packing for this tile; the fused fp16-operand kernels widen them in
