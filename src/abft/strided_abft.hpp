@@ -95,7 +95,8 @@ struct StridedAbft {
   /// Fully protected C = A * B^T (A: M x K fp16, B: N x K fp16, C: M x N).
   /// B's rows are tiled by kTile; each tile contributes an s-wide tensor
   /// checksum verified independently.  This is the building block for EFTA's
-  /// GEMM I and for strided-ABFT feed-forward layers.
+  /// GEMM I, and the per-call-encode path of the protected linears (which
+  /// otherwise verify against checksums sealed at construction).
   static Report gemm_nt(const tensor::MatrixH& A, const tensor::MatrixH& B,
                         tensor::MatrixF& C, int s, float relative_threshold,
                         fault::FaultInjector* inj,

@@ -137,7 +137,6 @@ DecodeEngine::RequestId DecodeEngine::submit_with_format(
   const std::size_t budget =
       max_new_tokens != 0 ? max_new_tokens : opt_.default_max_new_tokens;
   Request req;
-  req.prompt = prompt_hidden;
   req.prompt_rows = prompt_hidden.rows();
   req.priority = priority;
   req.kv_fmt = kv_fmt;
@@ -162,11 +161,32 @@ DecodeEngine::RequestId DecodeEngine::submit_with_format(
     }
     for (std::size_t t = 0; t < shareable; ++t) {
       key = chain_extend(
-          key, &req.prompt(t * TilePool::kTileRows, 0),
+          key, &prompt_hidden(t * TilePool::kTileRows, 0),
           TilePool::kTileRows * cfg.hidden * sizeof(float));
       req.prompt_keys.push_back(key);
     }
   }
+  // Hold only the prompt rows this engine will compute.  Where the prompt
+  // can never be replayed (see prompt_trimmable()), the leading prefix
+  // tiles already cached are pinned now — retained, so nothing can evict
+  // them before admission attaches them — and only the rows after them are
+  // copied.  Otherwise the whole prompt stays resident for recompute.
+  if (prompt_trimmable()) {
+    for (const ChainKey& key : req.prompt_keys) {
+      const TilePool::TileId tid = pool_.lookup_shared(key);
+      if (tid == TilePool::kNoTile) break;
+      req.pinned.push_back(tid);
+    }
+  }
+  req.prompt_row0 = req.pinned.size() * TilePool::kTileRows;
+  try {
+    req.prompt = MatrixF(req.prompt_rows - req.prompt_row0, cfg.hidden);
+  } catch (...) {
+    release_pins(req);
+    throw;
+  }
+  std::copy_n(&prompt_hidden(req.prompt_row0, 0), req.prompt.size(),
+              req.prompt.data());
 
   const RequestId id = requests_.size();
   // Transactional admit to the queue: a typed rejection (or a throw) must
@@ -179,10 +199,12 @@ DecodeEngine::RequestId DecodeEngine::submit_with_format(
     result = scheduler_.enqueue(id, requests_.back().max_tokens, priority,
                                 requests_.back().prompt_rows);
   } catch (...) {
+    release_pins(requests_.back());
     requests_.pop_back();
     throw;
   }
   if (result == EnqueueResult::kRejectedTooLarge) {
+    release_pins(requests_.back());
     requests_.pop_back();
     throw std::invalid_argument(
         "DecodeEngine::submit: context ceiling exceeds the KV pool — the "
@@ -231,6 +253,15 @@ DecodeEngine::StepStats DecodeEngine::step(fault::FaultInjector* inj) {
     req.cache = std::make_unique<PagedKvCache>(pool_, req.kv_fmt);
     req.prefilled = 0;
     req.tokens = 0;
+    // The prefix pinned at submit attaches first; its references move from
+    // the pin list into the block table.
+    for (const TilePool::TileId tid : req.pinned) {
+      req.cache->attach_shared(tid);
+      req.prefilled += TilePool::kTileRows;
+      req.tokens += TilePool::kTileRows;
+      ++stats.shared_tiles;
+    }
+    req.pinned.clear();
     live_.push_back(id);
     ++stats.admitted;
   }
@@ -359,7 +390,7 @@ DecodeEngine::StepStats DecodeEngine::step(fault::FaultInjector* inj) {
     if (e.prefill) {
       for (std::size_t r = 0; r < e.rows; ++r) {
         for (std::size_t c = 0; c < cfg.hidden; ++c) {
-          X(e.row0 + r, c) = req.prompt(e.base + r, c);
+          X(e.row0 + r, c) = req.prompt(e.base + r - req.prompt_row0, c);
         }
       }
     } else {
@@ -695,9 +726,25 @@ void DecodeEngine::advance(std::vector<TickEntry>& entries, MatrixF& X,
   }
 }
 
+bool DecodeEngine::prompt_trimmable() const noexcept {
+  // Prompt rows are read again after their prefill only by recompute
+  // (preemption: a bounded pool or the scrubber), the drafter's history
+  // and record_inputs.  With none of them on, rows served from cached
+  // tiles are never read at all.
+  return opt_.scheduler.max_kv_tiles == 0 &&
+         opt_.recovery.scrub_tiles_per_tick == 0 && proposer_ == nullptr &&
+         !opt_.record_inputs;
+}
+
+void DecodeEngine::release_pins(Request& req) {
+  for (const TilePool::TileId tid : req.pinned) pool_.release(tid);
+  req.pinned.clear();
+}
+
 void DecodeEngine::retire(RequestId id) {
   Request& req = requests_[id];
   scheduler_.release(id);
+  release_pins(req);  // a request retired while still queued
   if (proposer_ != nullptr) proposer_->reset(id);
   req.draft = std::vector<float>();
   req.draft_rows = 0;

@@ -206,7 +206,12 @@ class DecodeEngine {
   /// Enqueue a sequence: `prompt_hidden` is seq x hidden, any seq >= 1.
   /// No compute happens here — the scheduler admits the request on a later
   /// step() and its prompt streams in as causal prefill chunks (minus any
-  /// prefix tiles already cached in the pool).  `max_new_tokens` caps
+  /// prefix tiles already cached in the pool).  When no path can replay the
+  /// prompt (an unbounded pool with the scrubber, speculation and
+  /// record_inputs off), the prefix tiles cached right now are pinned here
+  /// and only the prompt rows after them are copied; the pins attach at
+  /// admission, or are released if the request retires while queued.
+  /// `max_new_tokens` caps
   /// generation (0 = EngineOptions default); once the cap or max_context is
   /// reached the request retires on its own.  `priority` picks the
   /// scheduling class: high overtakes normal overtakes low, and preemption
@@ -330,7 +335,11 @@ class DecodeEngine {
  private:
   struct Request {
     std::unique_ptr<PagedKvCache> cache;   // block table over the pool
-    tensor::MatrixF prompt;                // kept live for recompute-on-preempt
+    tensor::MatrixF prompt;                // prompt rows [prompt_row0, end),
+                                           //   kept for recompute-on-preempt
+    std::size_t prompt_row0 = 0;           // rows before it are pinned tiles
+    std::vector<TilePool::TileId> pinned;  // cached prefix tiles retained at
+                                           //   submit, attached at admission
     std::size_t prompt_rows = 0;           // original prompt length
     std::size_t prefilled = 0;             // prompt rows in cache (shared
                                            //   + computed)
@@ -370,6 +379,12 @@ class DecodeEngine {
     std::size_t probation = 0;  ///< ticks left before readmission
   };
 
+  /// True when no path can read a prompt row after its prefill (no
+  /// preemption, drafter or input recording): submit() may then pin the
+  /// cached prefix and keep only the rows after it.
+  [[nodiscard]] bool prompt_trimmable() const noexcept;
+  /// Drop a request's submit-time prefix pins (rejection, retirement).
+  void release_pins(Request& req);
   void retire(RequestId id);
   /// Preempt: release tiles, reset progress, re-queue at class front.
   void preempt_request(RequestId id);

@@ -179,6 +179,7 @@ void TilePool::recycle(TileId id, core::TileFmt fmt) {
   }
   t.key = ChainKey{};
   t.stamp = 0;
+  t.hit = false;
 }
 
 namespace {
@@ -305,7 +306,7 @@ ScrubReport TilePool::scrub(std::size_t max_tiles) {
       // verified again.  Current holders keep their references — the engine
       // preempts them onto recompute before any further compute — and a
       // holder's eventual release routes the (now unpublished) tile to the
-      // dead list.  An unreferenced published tile sits on the cached list;
+      // dead list.  An unreferenced published tile sits on a cached list;
       // bump its stamp (stale-entry skip) and dead-list it directly.
       Tile& t = tiles_[id];
       t.sealed = false;
@@ -381,7 +382,10 @@ TilePool::TileId TilePool::acquire(core::TileFmt fmt) {
     ++in_use_;
     return id;
   }
-  // 2. Fresh capacity.
+  // 2. Cold cached tiles: published, never looked up — recycling one
+  // before growing keeps an unbounded pool from keeping every prompt tile.
+  if (const TileId id = evict_lru(cold_, fmt); id != kNoTile) return id;
+  // 3. Fresh capacity.
   if (capacity_tiles_ == 0 || tiles_.size() < capacity_tiles_) {
     Tile t;
     t.slab = std::make_unique<Half[]>(slab_halves_);  // value-init: zeroed
@@ -400,10 +404,15 @@ TilePool::TileId TilePool::acquire(core::TileFmt fmt) {
     ++in_use_;
     return tiles_.size() - 1;
   }
-  // 3. Evict the least-recently-released cached (prefix-registered) tile.
-  while (!cached_.empty()) {
-    const auto [id, stamp] = cached_.front();
-    cached_.pop_front();
+  // 4. Evict the least-recently-released hot (hit at least once) tile.
+  return evict_lru(cached_, fmt);  // kNoTile: every tile is referenced
+}
+
+TilePool::TileId TilePool::evict_lru(
+    std::deque<std::pair<TileId, std::uint64_t>>& lru, core::TileFmt fmt) {
+  while (!lru.empty()) {
+    const auto [id, stamp] = lru.front();
+    lru.pop_front();
     Tile& t = tiles_[id];
     if (t.refs != 0 || t.stamp != stamp) continue;  // stale: re-shared since
     ++evictions_;
@@ -412,7 +421,7 @@ TilePool::TileId TilePool::acquire(core::TileFmt fmt) {
     ++in_use_;
     return id;
   }
-  return kNoTile;  // every tile is referenced
+  return kNoTile;
 }
 
 void TilePool::retain(TileId id) {
@@ -431,12 +440,11 @@ void TilePool::release(TileId id) {
   }
   if (--t.refs == 0) {
     --in_use_;
-    if (t.is_published) {
-      t.stamp = ++clock_;
-      cached_.emplace_back(id, t.stamp);
-    } else {
-      t.stamp = ++clock_;
+    t.stamp = ++clock_;
+    if (!t.is_published) {
       dead_.push_back(id);
+    } else {
+      (t.hit ? cached_ : cold_).emplace_back(id, t.stamp);
     }
   }
 }
@@ -445,7 +453,8 @@ TilePool::TileId TilePool::lookup_shared(const ChainKey& key) {
   const auto it = registry_.find(key);
   if (it == registry_.end()) return kNoTile;
   const TileId id = it->second;
-  retain(id);  // also pulls it off the cached list via the stamp
+  retain(id);  // also pulls it off the cached lists via the stamp
+  tiles_[id].hit = true;
   ++shared_hits_;
   return id;
 }

@@ -21,12 +21,17 @@
 //     list and are the first choice for reuse — reclaiming them loses
 //     nothing;
 //   * published tiles (sealed prompt tiles registered under a prefix hash
-//     chain) go on an LRU cached list and remain discoverable through
-//     lookup_shared() until capacity pressure evicts them, oldest first.
+//     chain) stay cached and remain discoverable through lookup_shared()
+//     until they are recycled, oldest first.  The cache has two LRU
+//     segments: a tile that was never looked up goes on the *cold* list, a
+//     tile that was hit at least once on the *hot* list.
 //
-// acquire() prefers dead tiles, then fresh capacity, then LRU eviction of
-// cached tiles; only when every tile is referenced does it fail (kNoTile),
-// which is the signal the engine turns into preemption.
+// acquire() prefers dead tiles, then cold cached tiles, then fresh
+// capacity, then LRU eviction of hot cached tiles; only when every tile is
+// referenced does it fail (kNoTile), which is the signal the engine turns
+// into preemption.  Recycling cold tiles before growing keeps an unbounded
+// pool from holding every prompt tile it ever published, while a prefix
+// that is actually being shared survives in the hot segment.
 //
 // Prefix sharing is keyed by a hash chain: tile t's key extends tile t-1's
 // key with the bytes that *determine* the tile's sealed contents (the
@@ -140,8 +145,9 @@ class TilePool {
   ScrubReport scrub(std::size_t max_tiles);
 
   /// A fresh zero-initialized tile with refcount 1, reclaiming dead tiles,
-  /// then fresh capacity, then evicting the LRU cached tile.  kNoTile only
-  /// when the pool is bounded and every tile is referenced.
+  /// then evicting the LRU cold (never hit) cached tile, then fresh
+  /// capacity, then evicting the LRU hot cached tile.  kNoTile only when the
+  /// pool is bounded and every tile is referenced.
   ///
   /// `fmt` picks the tile's sealed storage format; both formats coexist in
   /// one pool, and a reclaimed tile converts to the requested format on
@@ -160,7 +166,8 @@ class TilePool {
   void release(TileId id);
 
   /// Probe the prefix registry.  On a hit the tile is retained for the
-  /// caller (and pulled off the cached list if it was unreferenced).
+  /// caller (and pulled off the cached lists if it was unreferenced) and
+  /// marked hit, so its next release caches it in the hot segment.
   [[nodiscard]] TileId lookup_shared(const ChainKey& key);
 
   /// Mark a tile fully written (all layers appended and encoded).  Only
@@ -242,7 +249,7 @@ class TilePool {
   [[nodiscard]] std::size_t published() const noexcept {
     return registry_.size();
   }
-  /// Lifetime counters.
+  /// Lifetime counters (evictions: cached tiles recycled, cold or hot).
   [[nodiscard]] std::size_t evictions() const noexcept { return evictions_; }
   [[nodiscard]] std::size_t shared_hits() const noexcept {
     return shared_hits_;
@@ -287,6 +294,7 @@ class TilePool {
     std::size_t refs = 0;
     bool sealed = false;
     bool is_published = false;
+    bool hit = false;   // looked up since it was (re)acquired
     ChainKey key;       // valid while is_published
     std::uint64_t stamp = 0;  // matches its cached-list entry; 0 = not listed
   };
@@ -297,6 +305,10 @@ class TilePool {
   /// fp16 slab (the decode kernel's ragged-tail padding convention), swap
   /// the format-specific slabs, clear seal/publication state.
   void recycle(TileId id, core::TileFmt fmt);
+  /// Recycle the least-recently-released live entry of `lru` (skipping
+  /// stale ones) as a referenced `fmt` tile; kNoTile when none is left.
+  [[nodiscard]] TileId evict_lru(
+      std::deque<std::pair<TileId, std::uint64_t>>& lru, core::TileFmt fmt);
   [[nodiscard]] std::size_t offset(std::size_t layer,
                                    std::size_t head) const noexcept;
 
@@ -316,7 +328,10 @@ class TilePool {
   std::uint64_t clock_ = 0;
   std::vector<Tile> tiles_;
   std::deque<TileId> dead_;                       // refcount 0, unpublished
-  std::deque<std::pair<TileId, std::uint64_t>> cached_;  // LRU, lazy-stale
+  // Cached (published, refcount 0) tiles, LRU, lazy-stale: hit at least
+  // once (hot) or never (cold).
+  std::deque<std::pair<TileId, std::uint64_t>> cached_;
+  std::deque<std::pair<TileId, std::uint64_t>> cold_;
   std::unordered_map<ChainKey, TileId, ChainKeyHash> registry_;
 };
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <random>
 #include <vector>
@@ -170,6 +171,64 @@ TEST(TilePool, PrefixRegistryLruEvictionAndRescue) {
   EXPECT_EQ(evicted2, t1);
   EXPECT_EQ(pool.evictions(), 2u);
   EXPECT_EQ(pool.acquire(), fs::TilePool::kNoTile);  // all referenced again
+}
+
+TEST(TilePool, UnboundedPoolRecyclesColdTileBeforeGrowing) {
+  // A published tile nobody ever looked up is the first cached tile to go:
+  // an unbounded pool recycles it instead of materializing a new tile.
+  fs::TilePool pool(pool_opts(1, 1, 32, 0));
+  const float seed0[1] = {0.5f};
+  const fs::ChainKey k0 = fs::chain_extend({}, seed0, sizeof(seed0));
+  const auto t0 = pool.acquire();
+  pool.seal(t0);
+  ASSERT_TRUE(pool.publish(t0, k0));
+  pool.release(t0);  // published, never hit: cold
+  EXPECT_EQ(pool.published(), 1u);
+
+  const auto t = pool.acquire();
+  EXPECT_EQ(t, t0);  // recycled, not grown
+  EXPECT_EQ(pool.allocated(), 1u);
+  EXPECT_EQ(pool.evictions(), 1u);
+  EXPECT_EQ(pool.published(), 0u);
+  EXPECT_FALSE(pool.sealed(t));
+  EXPECT_EQ(pool.lookup_shared(k0), fs::TilePool::kNoTile);
+  // With no cached tile left, the unbounded pool grows as before.
+  EXPECT_NE(pool.acquire(), t0);
+  EXPECT_EQ(pool.allocated(), 2u);
+}
+
+TEST(TilePool, HitTileOutlivesColdTiles) {
+  const float seeds[3] = {0.5f, 1.5f, 2.5f};
+  auto key = [&](int i) { return fs::chain_extend({}, &seeds[i], 4); };
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{3}}) {
+    fs::TilePool pool(pool_opts(1, 1, 32, capacity));
+    std::vector<fs::TilePool::TileId> t;
+    for (int i = 0; i < 3; ++i) {
+      t.push_back(pool.acquire());
+      pool.seal(t[i]);
+      ASSERT_TRUE(pool.publish(t[i], key(i)));
+    }
+    // t0 is shared once and released first — the oldest cached tile — while
+    // t1 and t2 are never looked up.
+    EXPECT_EQ(pool.lookup_shared(key(0)), t[0]);
+    pool.release(t[0]);
+    pool.release(t[0]);
+    pool.release(t[1]);
+    pool.release(t[2]);
+    // Cold tiles go first, oldest first...
+    EXPECT_EQ(pool.acquire(), t[1]) << capacity;
+    EXPECT_EQ(pool.acquire(), t[2]) << capacity;
+    EXPECT_EQ(pool.evictions(), 2u);
+    // ...then fresh capacity (unbounded), or the hot tile (bounded, full).
+    const auto next = pool.acquire();
+    if (capacity == 0) {
+      EXPECT_EQ(next, 3u);
+      EXPECT_EQ(pool.lookup_shared(key(0)), t[0]);  // still attachable
+    } else {
+      EXPECT_EQ(next, t[0]);
+      EXPECT_EQ(pool.evictions(), 3u);
+    }
+  }
 }
 
 TEST(PagedKvCache, StoresInputAndDecodesLikeFreshEncodes) {
@@ -447,4 +506,56 @@ TEST(TilePool, SharingHalvesTilesForCommonPrefixWorkload) {
   // (counted once) + 4 private tails.  >= 2x effective capacity.
   EXPECT_LT(shared_peak * 2, unshared_peak + 1)
       << "shared " << shared_peak << " vs unshared " << unshared_peak;
+}
+
+TEST(TilePool, QueuedRequestPinsReleaseOnFinish) {
+  // submit() pins the cached prefix of a prompt (the engine then holds only
+  // the rows after it); retiring the request while it is still queued must
+  // hand the pins back.
+  const fx::Model model(serving_config(), 0x9a1);
+  const std::size_t hidden = model.config().hidden;
+  const ft::MatrixF prompt = random_prompt(129, hidden, 0x9a2);  // 2 shareable
+
+  fs::DecodeEngine engine(model);
+  engine.submit(prompt, /*max_new_tokens=*/2);
+  engine.run_until_idle();
+  ASSERT_EQ(engine.pool().published(), 2u);
+  EXPECT_EQ(engine.kv_tiles_in_use(), 0u);
+
+  const auto queued = engine.submit(prompt, /*max_new_tokens=*/2);
+  EXPECT_EQ(engine.state(queued), fs::RequestState::kQueued);
+  EXPECT_EQ(engine.kv_tiles_in_use(), 2u);  // the pinned prefix
+  engine.finish(queued);
+  EXPECT_EQ(engine.kv_tiles_in_use(), 0u);
+  EXPECT_EQ(engine.pool().published(), 2u);  // still cached
+  EXPECT_EQ(engine.run_until_idle().active, 0u);
+}
+
+TEST(TilePool, PinnedPrefixDecodesLikeUnsharedTwin) {
+  const fx::Model model(serving_config(), 0x9b1);
+  const std::size_t hidden = model.config().hidden;
+  const ft::MatrixF leader = random_prompt(140, hidden, 0x9b2);
+  ft::MatrixF follower = random_prompt(230, hidden, 0x9b3);
+  std::copy_n(leader.data(), 128 * hidden, follower.data());  // 2-tile prefix
+
+  fs::DecodeEngine shared(model);
+  shared.submit(leader, /*max_new_tokens=*/3);
+  shared.run_until_idle();
+  const auto before = shared.lifetime();
+  const auto id = shared.submit(follower, /*max_new_tokens=*/5);
+  EXPECT_EQ(shared.kv_tiles_in_use(), 2u);  // pinned at submit
+  shared.step();  // admission attaches the pinned tiles
+  EXPECT_EQ(shared.shared_tile_count(id), 2u);
+  shared.run_until_idle();
+  EXPECT_EQ(shared.lifetime().shared_tiles - before.shared_tiles, 2u);
+  EXPECT_EQ(shared.lifetime().prefill_rows - before.prefill_rows, 230u - 128u);
+
+  fs::EngineOptions off;
+  off.share_prefix = false;
+  fs::DecodeEngine twin(model, off);
+  const auto tid = twin.submit(follower, /*max_new_tokens=*/5);
+  twin.run_until_idle();
+  const auto a = shared.hidden(id), b = twin.hidden(tid);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
