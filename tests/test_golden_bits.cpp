@@ -9,6 +9,13 @@
 // counts into one 64-bit hash.  The expected values were recorded from the
 // engine before the protected linears were sealed at construction; a
 // mismatch means a change moved a served bit or a hook.
+//
+// The ComputeSites fleets strike only the sites that fire on computed
+// values (linear and attention GEMM outputs, EXP) and hash every hook count
+// except kChecksum — the one site whose hook set depends on which operands
+// a tick re-encodes rather than reads sealed.  They pin that a change in
+// where checksums come from moves no served bit, report counter or compute
+// hook, for fp16 tiles and for int8 tiles.
 
 #include <gtest/gtest.h>
 
@@ -40,14 +47,32 @@ struct Hash {
   void add(std::uint64_t v) { add(&v, sizeof v); }
 };
 
-enum class Run { kClean, kInjected, kRetry };
+enum class Run { kClean, kInjected, kRetry, kComputeSites };
 
-/// Serve the fixed fleet and hash what it produced.
-std::uint64_t serve_fleet(Run run) {
+void add(Hash& h, const ftt::abft::Report& r) {
+  h.add(r.checks);
+  h.add(r.flagged);
+  h.add(r.corrected);
+  h.add(r.uncorrectable);
+  h.add(r.checksum_repairs);
+  h.add(r.recomputed);
+}
+
+/// The ComputeSites campaign: every tick strikes one of the compute sites
+/// (faulty_mixed's four), cycling through them.
+ff::FaultInjector compute_site_injector(std::size_t t) {
+  constexpr ff::Site kSites[] = {ff::Site::kLinear, ff::Site::kGemm1,
+                                 ff::Site::kExp, ff::Site::kGemm2};
+  return ff::FaultInjector::single(kSites[t % 4], 50 + 41 * t, 30);
+}
+
+/// Serve the fixed fleet and hash what it produced.  `kv_quant` picks the
+/// sealed tile format (fp16 or int8) regardless of the environment.
+std::uint64_t serve_fleet(Run run, bool kv_quant = false) {
   const ftx::ModelConfig cfg{"golden", 2, 128, 2, 256, /*causal=*/true};
   const ftx::Model model(cfg, 2024);
   fs::EngineOptions opt;
-  opt.kv_quant = false;  // fp16 tiles regardless of the environment
+  opt.kv_quant = kv_quant;
   if (run == Run::kRetry) {
     opt.recovery.max_tick_retries = 2;
     opt.recovery.retry_on = fs::RetryTrigger::kAnyDetection;
@@ -74,9 +99,17 @@ std::uint64_t serve_fleet(Run run) {
 
   Hash h;
   std::uint64_t linear_calls = 0, checksum_calls = 0, flips = 0;
+  std::uint64_t site_calls[ff::kSiteCount] = {};
   for (std::size_t t = 0; eng.queued() + eng.active() > 0; ++t) {
     if (t == 4) ids.push_back(submit(2));
-    if (run != Run::kClean && t % 3 == 1) {
+    if (run == Run::kComputeSites) {
+      auto inj = compute_site_injector(t);
+      (void)eng.step(&inj);
+      for (std::size_t s = 0; s < ff::kSiteCount; ++s) {
+        site_calls[s] += inj.calls(static_cast<ff::Site>(s));
+      }
+      flips += inj.injected();
+    } else if (run != Run::kClean && t % 3 == 1) {
       // Alternate the struck site between the linear payload and the
       // checksum pipeline; the ordinal lands inside every tick's range.
       auto inj = t % 2 == 1
@@ -98,6 +131,25 @@ std::uint64_t serve_fleet(Run run) {
     h.add(static_cast<std::uint64_t>(eng.health(id)));
   }
   const auto& life = eng.lifetime();
+  if (run == Run::kComputeSites) {
+    add(h, life.linear);
+    add(h, life.attention.gemm1);
+    add(h, life.attention.exp_check);
+    add(h, life.attention.gemm2);
+    h.add(life.attention.range_corrections);
+    h.add(life.attention.faults_injected);
+    h.add(life.retried);
+    h.add(life.shared_tiles);
+    for (std::size_t s = 0; s < ff::kSiteCount; ++s) {
+      if (static_cast<ff::Site>(s) != ff::Site::kChecksum) {
+        h.add(site_calls[s]);
+      }
+    }
+    h.add(flips);
+    EXPECT_GT(flips, 0u);
+    EXPECT_GT(life.linear.flagged + life.attention.total_detected(), 0u);
+    return h.h;
+  }
   h.add(life.linear.checks);
   h.add(life.linear.flagged);
   h.add(life.linear.corrected);
@@ -133,4 +185,13 @@ TEST(GoldenBits, InjectedFleet) {
 
 TEST(GoldenBits, RetryFleet) {
   EXPECT_EQ(serve_fleet(Run::kRetry), 14980845967803193158ull);
+}
+
+TEST(GoldenBits, ComputeSitesFleet) {
+  EXPECT_EQ(serve_fleet(Run::kComputeSites), 2470938202104416689ull);
+}
+
+TEST(GoldenBits, ComputeSitesI8Fleet) {
+  EXPECT_EQ(serve_fleet(Run::kComputeSites, /*kv_quant=*/true),
+            3962916221494474239ull);
 }
