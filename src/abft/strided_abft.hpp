@@ -94,9 +94,9 @@ struct StridedAbft {
 
   /// Fully protected C = A * B^T (A: M x K fp16, B: N x K fp16, C: M x N).
   /// B's rows are tiled by kTile; each tile contributes an s-wide tensor
-  /// checksum verified independently.  This is the building block for EFTA's
-  /// GEMM I, and the per-call-encode path of the protected linears (which
-  /// otherwise verify against checksums sealed at construction).
+  /// checksum, encoded per call and verified independently.  The building
+  /// block of EFTA's GEMM I, and the reference the sealed linears are
+  /// tested against (they check sealed checksums, never re-encode them).
   static Report gemm_nt(const tensor::MatrixH& A, const tensor::MatrixH& B,
                         tensor::MatrixF& C, int s, float relative_threshold,
                         fault::FaultInjector* inj,

@@ -30,6 +30,12 @@ std::size_t& tiles_materialized() noexcept {
 
 namespace {
 
+/// Whether the slice's memoized encodings serve a call at stride `s`.
+bool memo_ok(const KvSlice& kv, int s) {
+  return kv.k_c1 != nullptr && kv.k_c2 != nullptr && kv.v_c1 != nullptr &&
+         kv.v_c2 != nullptr && kv.enc_stride == s;
+}
+
 void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
   if (it.kv.k_tiles == nullptr || it.kv.v_tiles == nullptr) {
     throw std::invalid_argument("efta decode: null KV tile pointers");
@@ -59,6 +65,17 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
       (it.out_stride != 0 && it.out_stride < d)) {
     throw std::invalid_argument("efta decode: row stride below d");
   }
+  // An int8 tile is read only through its sealed encodings.
+  if (it.kv.fmt != nullptr) {
+    for (std::size_t j = 0; j < it.kv.tiles(); ++j) {
+      if (it.kv.fmt[j] == TileFmt::kI8 &&
+          (!memo_ok(it.kv, opt.stride) || it.kv.k_c1[j] == nullptr)) {
+        throw std::invalid_argument(
+            "efta decode: int8 tile without sealed encodings at the "
+            "checksum stride");
+      }
+    }
+  }
 }
 
 /// Core causal query block over one tiled KV slice.  The block sits at the
@@ -80,8 +97,8 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
 /// which is bit-identical to the former memcpy-and-convert-per-GEMM path
 /// because fp16 -> fp32 widening is exact and the MAC order is unchanged.
 /// When the slice carries memoized per-tile checksum encodings (serve::
-/// TilePool seals them once per full tile), clean runs consume those instead
-/// of re-deriving all four encodings per call, dropping the per-token encode
+/// TilePool seals them once per full tile), every call consumes those
+/// instead of re-deriving all four encodings, dropping the per-token encode
 /// cost from O(context) to O(tail).
 FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
                      fault::FaultInjector* inj) {
@@ -96,12 +113,8 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   const std::size_t os = it.out_stride == 0 ? d : it.out_stride;
   FtReport rep;
 
-  // Memoized encodings are only usable on clean runs — an armed (or call-
-  // counting) injector must observe the per-call encode hooks — and only
-  // when they were built with this call's checksum stride.
-  const bool cache_ok = inj == nullptr && it.kv.k_c1 != nullptr &&
-                        it.kv.k_c2 != nullptr && it.kv.v_c1 != nullptr &&
-                        it.kv.v_c2 != nullptr && it.kv.enc_stride == s;
+  // Injected calls read the sealed tiers too: hooks fire on computed values.
+  const bool cache_ok = memo_ok(it.kv, s);
 
   // Pre-scaled fp16 queries (the MMA operand rows), exactly as decode does
   // per token, then widened once: every GEMM below consumes the exact fp32
@@ -127,9 +140,6 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   std::vector<Half> ktail(B * d), vtail(B * d);
   // Per-tile fp32 operand images (one bulk conversion each per tile).
   std::vector<float> kf(B * d), vf(B * d);
-  // k-major scratch for the int8 fallback path (injector armed): the stored
-  // K^T payload dequantizes here, then transposes to logical rows in kf.
-  std::vector<float> ktf;
   std::vector<float> kc1f(su * d), kc2f(su * d), vc1f(B * su), vc2f(B * su);
   // Per-row fp16-rounded softmax weights (GEMM II's A operand).
   std::vector<Half> ph(B);
@@ -185,13 +195,14 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     // streams the quantized V rows directly instead of vsrc.
     const std::int8_t* vsrc8 = nullptr;
     float vscale = 1.0f;
-    if (is_i8 && cache_ok && it.kv.k_c1[j] != nullptr) {
-      // Int8 fast path — the quantized analogue of the image tier.
-      // The stored payload is already k-major on the K side and the Half
-      // encodings' K blocks are stored transposed, so nothing is packed
-      // and nothing dequantizes to scratch: the fused kernels widen the
-      // int8 stream in registers (exact power-of-two scale), which is
-      // bit-identical to dequantizing first (see numeric/int8_simd.hpp).
+    if (is_i8) {
+      // Int8 tier — the quantized analogue of the image tier (validate_item
+      // guarantees the sealed encodings).  The stored payload is already
+      // k-major on the K side and the Half encodings' K blocks are stored
+      // transposed, so nothing is packed and nothing dequantizes to
+      // scratch: the fused kernels widen the int8 stream in registers
+      // (exact power-of-two scale), which is bit-identical to dequantizing
+      // first (see numeric/int8_simd.hpp).
       numeric::halves_to_floats(it.kv.k_c1[j], kc1f.data(), d * su);
       numeric::halves_to_floats(it.kv.k_c2[j], kc2f.data(), d * su);
       numeric::halves_to_floats(it.kv.v_c1[j], vc1f.data(), B * su);
@@ -220,39 +231,24 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       vc1H = it.kv.v_c1[j];
       vc2H = it.kv.v_c2[j];
     } else {
-      if (is_i8) {
-        // Int8 fallback (armed injector, or a memo mismatch): materialize
-        // the exactly-dequantized fp32 image — the stored K^T transposes
-        // back to logical rows — and run the generic widen-per-tile path
-        // with fresh encodes over it, bit-identical to the fused fast path
-        // above (dequantization is exact and transposition is pure data
-        // movement).
-        if (ktf.empty()) ktf.resize(B * d);
-        numeric::dequantize_i8_to_f32(it.kv.k_i8[j], ktf.data(), B * d,
-                                      it.kv.k_scale[j]);
-        numeric::transpose_f32(ktf.data(), d, B, kf.data());
-        numeric::dequantize_i8_to_f32(it.kv.v_i8[j], vf.data(), B * d,
-                                      it.kv.v_scale[j]);
-      } else {
-        if (!full) {
-          // Only the ragged tail tile is materialized: its storage may hold
-          // fewer than 64 readable rows (contiguous-cache views), so pad-and-
-          // copy it into the zero-filled checksum footprint.
-          std::memcpy(ktail.data(), kt, tile_valid * d * sizeof(Half));
-          std::memcpy(vtail.data(), vt, tile_valid * d * sizeof(Half));
-          std::fill(ktail.begin() + tile_valid * d, ktail.end(), Half());
-          std::fill(vtail.begin() + tile_valid * d, vtail.end(), Half());
-          kt = ktail.data();
-          vt = vtail.data();
-          ++testing::tiles_materialized();
-        }
-        numeric::halves_to_floats(kt, kf.data(), B * d);
-        numeric::halves_to_floats(vt, vf.data(), B * d);
+      if (!full) {
+        // Only the ragged tail tile is materialized: its storage may hold
+        // fewer than 64 readable rows (contiguous-cache views), so pad-and-
+        // copy it into the zero-filled checksum footprint.
+        std::memcpy(ktail.data(), kt, tile_valid * d * sizeof(Half));
+        std::memcpy(vtail.data(), vt, tile_valid * d * sizeof(Half));
+        std::fill(ktail.begin() + tile_valid * d, ktail.end(), Half());
+        std::fill(vtail.begin() + tile_valid * d, vtail.end(), Half());
+        kt = ktail.data();
+        vt = vtail.data();
+        ++testing::tiles_materialized();
       }
+      numeric::halves_to_floats(kt, kf.data(), B * d);
+      numeric::halves_to_floats(vt, vf.data(), B * d);
 
       // Checksum encodings: memoized once per sealed tile, or derived fresh
       // (per block — single-token decode re-encodes the tail per token, the
-      // residual O(tail) work).
+      // residual O(tail) work).  Only a fresh encode fires kChecksum hooks.
       const Half *kc1, *kc2, *vc1, *vc2;
       if (cache_ok && full && it.kv.k_c1[j] != nullptr) {
         kc1 = it.kv.k_c1[j];

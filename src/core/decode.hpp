@@ -92,10 +92,10 @@ struct KvSlice {
   /// invalidated, and a prefix-shared pool tile shares its sealed encodings
   /// with every request that maps it).  Each array has tiles() entries;
   /// k_c1/k_c2 point at enc_stride x d row checksums and v_c1/v_c2 at
-  /// kTileRows x enc_stride column checksums, all row-major fp16.  Entries for the unsealed ragged
-  /// tail are null.  The kernel consumes them on clean runs when enc_stride
-  /// matches its own stride option; an armed (or probing) fault injector
-  /// forces fresh per-call encodes so campaign hook counts stay stable.
+  /// kTileRows x enc_stride column checksums, all row-major fp16.  Entries
+  /// for the unsealed ragged tail are null.  The kernel consumes them
+  /// whenever enc_stride matches its stride option, injector or not: hooks
+  /// fire on computed values; sealed data is checked, never re-encoded.
   const numeric::Half* const* k_c1 = nullptr;
   const numeric::Half* const* k_c2 = nullptr;
   const numeric::Half* const* v_c1 = nullptr;
@@ -111,7 +111,7 @@ struct KvSlice {
   /// consuming the image is bit-identical to per-call widening; the V
   /// operands stream straight from v_tiles / v_c1 / v_c2, which are already
   /// in axpy-native row-major layout.  Same gating as the encodings: entries
-  /// for unsealed tiles are null and an armed injector bypasses the memo.
+  /// for unsealed tiles are null; injected calls read it too.
   const numeric::Half* const* f16t = nullptr;
 
   /// Optional per-tile storage formats (null == every tile is kF16, the
@@ -127,7 +127,8 @@ struct KvSlice {
   /// row-major shape above.  The sealed encodings of an int8 tile are the
   /// fp16 encodings of its dequantized payload (bit-equal to a fresh encode
   /// of the dequantized image).  Only sealed full tiles are ever kI8; the
-  /// ragged open tail stays fp16.
+  /// ragged open tail stays fp16.  A kI8 tile needs its encodings at the
+  /// call's checksum stride (efta decode rejects the item otherwise).
   const TileFmt* fmt = nullptr;
   const std::int8_t* const* k_i8 = nullptr;
   const std::int8_t* const* v_i8 = nullptr;

@@ -33,7 +33,8 @@ enum class Site {
   kReduceSum,     ///< running row-sum l
   kRescale,       ///< diag(e^{m_old-m_new}) * O element
   kGemm2,         ///< O += P V accumulator output
-  kChecksum,      ///< checksum-pipeline value (CCG / checksum GEMM)
+  kChecksum,      ///< computed checksum value (fresh CCG encode or
+                  ///< checksum GEMM); sealed ones are never re-encoded
   kLinear,        ///< feed-forward / projection GEMM output
   kCount,
 };

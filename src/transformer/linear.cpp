@@ -134,38 +134,37 @@ abft::Report Linear::forward(const MatrixF& x, MatrixF& y,
   MatrixH xh(M, in_);
   numeric::floats_to_halves(x.data(), xh.data(), xh.size());
 
+  // Widen once; stream the sealed W^T (and C^T) through the fp16-operand
+  // GEMM.  Ascending-k accumulation: bit-identical to gemm_fp16_nt.
+  std::vector<float> a(M * in_);
+  numeric::halves_to_floats(xh.data(), a.data(), a.size());
+  numeric::gemm_f32_nnh(a.data(), M, in_, wt_.data(), out_, y.data(), out_,
+                        /*accumulate=*/false);
+  if (inj != nullptr) {
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      y.data()[i] = inj->corrupt(fault::Site::kLinear, y.data()[i]);
+    }
+  }
+
   abft::Report rep;
-  if (protect == LinearProtect::kStridedAbft && inj != nullptr) {
-    // Injected call: per-call encodes over the de-transposed weight, so
-    // every kLinear/kChecksum hook fires in the established order.
-    rep = StridedAbft::gemm_nt(xh, weight(), y, StridedAbft::kDefaultStride,
-                               rel_threshold, inj, fault::Site::kLinear);
-  } else {
-    // Widen once; stream the sealed W^T (and C^T) through the fp16-operand
-    // GEMM.  Ascending-k accumulation: bit-identical to gemm_fp16_nt.
-    std::vector<float> a(M * in_);
-    numeric::halves_to_floats(xh.data(), a.data(), a.size());
-    numeric::gemm_f32_nnh(a.data(), M, in_, wt_.data(), out_, y.data(), out_,
-                          /*accumulate=*/false);
-    if (protect == LinearProtect::kStridedAbft) {
-      MatrixF chk(M, ct_.cols());
-      numeric::gemm_f32_nnh(a.data(), M, in_, ct_.data(), ct_.cols(),
-                            chk.data(), ct_.cols(), /*accumulate=*/false);
-      MatrixF chk1(M, kStride), chk2(M, kStride);
-      for (std::size_t t = 0; t < out_ / kTile; ++t) {
-        for (std::size_t i = 0; i < M; ++i) {
-          const float* row = &chk(i, t * kChkCols);
-          std::copy_n(row, kStride, &chk1(i, 0));
-          std::copy_n(row + kStride, kStride, &chk2(i, 0));
+  if (protect == LinearProtect::kStridedAbft) {
+    MatrixF chk(M, ct_.cols());
+    numeric::gemm_f32_nnh(a.data(), M, in_, ct_.data(), ct_.cols(),
+                          chk.data(), ct_.cols(), /*accumulate=*/false);
+    MatrixF chk1(M, kStride), chk2(M, kStride);
+    for (std::size_t t = 0; t < out_ / kTile; ++t) {
+      // Hooks interleave chk1/chk2 in (i, j) order, as StridedAbft::gemm_nt.
+      for (std::size_t i = 0; i < M; ++i) {
+        const float* row = &chk(i, t * kChkCols);
+        for (std::size_t j = 0; j < kStride; ++j) {
+          chk1(i, j) = fault::corrupt(inj, fault::Site::kChecksum, row[j]);
+          chk2(i, j) =
+              fault::corrupt(inj, fault::Site::kChecksum, row[kStride + j]);
         }
-        rep += StridedAbft::verify_correct(y, chk1, chk2,
-                                           StridedAbft::kDefaultStride,
-                                           rel_threshold, t * kTile, kTile);
       }
-    } else if (inj != nullptr) {
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        y.data()[i] = inj->corrupt(fault::Site::kLinear, y.data()[i]);
-      }
+      rep += StridedAbft::verify_correct(y, chk1, chk2,
+                                         StridedAbft::kDefaultStride,
+                                         rel_threshold, t * kTile, kTile);
     }
   }
 

@@ -21,10 +21,9 @@
 // still accumulates in ascending-k order, and the sealed encodes are the
 // very values StridedAbft::gemm_nt derives per call — so the payload, the
 // checksum values and the Report counters all equal the per-call path.  A
-// call that carries a FaultInjector keeps those per-call encodes (it runs
-// StridedAbft::gemm_nt over the de-transposed weight), so every checksum
-// hook fires in the campaign's established order — the same rule as the
-// sealed KV tiles' `cache_ok` in core/decode.cpp.
+// call carrying a FaultInjector runs the same path: hooks fire on computed
+// values (kLinear per output, kChecksum per checksum-GEMM output); sealed
+// data is checked, never re-encoded — as for the sealed KV tiles.
 
 #include <cstdint>
 #include <span>

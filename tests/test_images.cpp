@@ -120,6 +120,45 @@ TEST(ImagePolicy, DecodeBitParityAndSlicePointers) {
                  "kF16T vs kNone decode");
 }
 
+TEST(ImagePolicy, SlabFlipAtRestIsFlaggedUnderInjector) {
+  // One exponent bit of one sealed V payload half flips after its tile
+  // sealed.  Both tiers stream V from the slab and verify against the V
+  // column checksums taken at seal, so the output check flags the struck
+  // column.  A call carrying an injector (disarmed: no flips) reads the same
+  // sealed tiers — nothing is re-encoded from the corrupt payload — so it
+  // flags and corrects exactly as the clean call does.
+  constexpr std::size_t kHead = 1, kRow = 5, kCol = 9;
+  constexpr unsigned kBit = 14;  // top fp16 exponent bit
+  for (const auto policy : kPolicies) {
+    kvtest::PagedKv kv(kHeads, kDim, kStride, policy);
+    kvtest::fill_cache(kv, 150, 0x333);
+    const auto tile = kv.cache.block_table()[0];
+    ASSERT_TRUE(kv.pool.sealed(tile));
+    ASSERT_EQ(kv.slice(kHead).v_tiles[0][kRow * kDim + kCol].bits() &
+                  (1u << kBit),
+              0u);
+    const auto q = random_halves(kDim, 0x444);
+    std::vector<float> before(kDim), clean(kDim), injected(kDim);
+    const auto r0 = fc::efta_decode_step(kv.slice(kHead), q, before);
+    fs::testing::flip_slab_bit(kv.pool, tile, 0, kHead,
+                               fs::TilePool::kTileRows * kDim +
+                                   kRow * kDim + kCol,
+                               kBit);
+
+    const auto rc = fc::efta_decode_step(kv.slice(kHead), q, clean);
+    ftt::fault::FaultInjector disarmed;
+    const auto ri =
+        fc::efta_decode_step(kv.slice(kHead), q, injected, {}, &disarmed);
+    EXPECT_GT(rc.gemm2.flagged, r0.gemm2.flagged);
+    EXPECT_GT(rc.gemm2.corrected, r0.gemm2.corrected);
+    EXPECT_EQ(ri.gemm1.flagged, rc.gemm1.flagged);
+    EXPECT_EQ(ri.gemm2.flagged, rc.gemm2.flagged);
+    EXPECT_EQ(ri.gemm2.corrected, rc.gemm2.corrected);
+    EXPECT_EQ(ri.total_detected(), rc.total_detected());
+    expect_bitwise(injected, clean, "disarmed-injector decode");
+  }
+}
+
 TEST(ImagePolicy, TilePoolBytesAndDisableWithoutEncStride) {
   fs::TilePoolOptions opt;
   opt.layers = 2;

@@ -611,6 +611,27 @@ TEST(PagedKvQuant, DecodeDeterministicAndWithinQuantTolerance) {
                              // the quantized path was never exercised
 }
 
+TEST(PagedKvQuant, DecodeRejectsI8TilesWithoutEncodingsAtTheStride) {
+  // An int8 tile is read only through its sealed encodings, so a call at a
+  // checksum stride other than the pool's cannot serve it and is rejected
+  // up front; an fp16 cache at that stride re-encodes and decodes.
+  kvtest::PagedKv quant = quant_kv(true);
+  kvtest::PagedKv exact = quant_kv(false);
+  kvtest::fill_cache(quant, kRows + 10, 26);
+  kvtest::fill_cache(exact, kRows + 10, 26);
+  fc::EftaOptions opt;
+  opt.stride = kStride / 2;
+  const std::vector<Half> q = random_halves(kDim, 27);
+  std::vector<float> out(kDim);
+  EXPECT_THROW(fc::efta_decode_step(quant.slice(0), q, out, opt),
+               std::invalid_argument);
+  const fc::DecodeWorkItem item{quant.slice(0), q.data(), out.data()};
+  EXPECT_THROW(fc::efta_decode_batch(std::span(&item, 1), opt),
+               std::invalid_argument);
+  EXPECT_NO_THROW(fc::efta_decode_step(exact.slice(0), q, out, opt));
+  EXPECT_NO_THROW(fc::efta_decode_step(quant.slice(0), q, out));
+}
+
 // ---------------------------------------------------------------------------
 // serve::TilePool + PagedKvCache + engine: mixed formats in one pool.
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "abft/strided_abft.hpp"
 #include "tensor/random.hpp"
 #include "transformer/linear.hpp"
 
@@ -168,33 +169,60 @@ TEST(LinearSealed, WeightFlipAtRestIsFlaggedAndCorrected) {
       }
     }
   }
+  // A call carrying an injector (disarmed: no flips) runs the same sealed
+  // GEMMs, so it flags and corrects the weight corrupted at rest exactly as
+  // the clean call does.
+  ft::MatrixF yi;
+  ff::FaultInjector disarmed;
+  const auto ri =
+      hit.forward(x, yi, ftx::LinearProtect::kStridedAbft, &disarmed);
+  expect_same_report(rep, ri);
+  EXPECT_TRUE(same_bits(y, yi));
   // The weight itself stays corrupt: correction is per call.
   EXPECT_NE(hit.weight()(kRow, kCol).bits(), clean.weight()(kRow, kCol).bits());
 }
 
 TEST(LinearSealed, SealedPathEqualsPerCallPath) {
-  // A call carrying an injector (here disarmed: no flips) takes the
-  // per-call encode path; it must produce the sealed path's bits, its
-  // Report and the established hook counts.  A near-zero threshold makes
-  // rounding noise flag, so the Report comparison is not vacuous.
+  // Every call runs the sealed GEMMs.  The reference is the per-call encode
+  // path, StridedAbft::gemm_nt over the de-transposed weight (plus the
+  // bias): the sealed call, with or without a (disarmed) injector, must
+  // produce its bits, its Report and its kLinear hook count.  Only the
+  // kChecksum count differs: the sealed call fires on its checksum-GEMM
+  // outputs alone, M x 2s per tile, while the reference also fires on the
+  // weight encodes it recomputes.  A near-zero threshold makes rounding
+  // noise flag, so the Report comparison is not vacuous.
   const ftx::Linear l(256, 1024, 23);
   ft::MatrixF x(7, 256);
   ft::fill_normal(x, 24);
+  ft::MatrixH xh(x.rows(), x.cols());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    xh.data()[i] = ftt::numeric::Half(x.data()[i]);
+  }
   for (const float thr : {0.02f, 1e-7f}) {
-    ft::MatrixF ys, yi;
-    ff::FaultInjector disarmed;
+    ft::MatrixF ys, yi, yr(x.rows(), l.out_features());
+    ff::FaultInjector disarmed, reference;
     const auto rs = l.forward(x, ys, ftx::LinearProtect::kStridedAbft,
                               nullptr, thr);
     const auto ri = l.forward(x, yi, ftx::LinearProtect::kStridedAbft,
                               &disarmed, thr);
+    const auto rr = ftt::abft::StridedAbft::gemm_nt(
+        xh, l.weight(), yr, ftt::abft::StridedAbft::kDefaultStride, thr,
+        &reference, ff::Site::kLinear);
+    for (std::size_t r = 0; r < yr.rows(); ++r) {
+      for (std::size_t c = 0; c < yr.cols(); ++c) yr(r, c) += l.bias()[c];
+    }
     EXPECT_TRUE(same_bits(ys, yi)) << thr;
+    EXPECT_TRUE(same_bits(ys, yr)) << thr;
     expect_same_report(rs, ri);
+    expect_same_report(rs, rr);
     EXPECT_EQ(rs.checks, 7u * 8u * (1024u / 64u));
     if (thr < 1e-3f) {
       EXPECT_GT(rs.flagged, 0u);
     }
     EXPECT_EQ(disarmed.calls(ff::Site::kLinear), 7168u);
-    EXPECT_EQ(disarmed.calls(ff::Site::kChecksum), 67328u);
+    EXPECT_EQ(reference.calls(ff::Site::kLinear), 7168u);
+    EXPECT_EQ(disarmed.calls(ff::Site::kChecksum), 7u * 16u * 16u);
+    EXPECT_EQ(reference.calls(ff::Site::kChecksum), 67328u);
   }
   // Unprotected: the hooks fire once per output on the same bits.
   ft::MatrixF ys, yi;

@@ -436,7 +436,7 @@ TEST(ShardedEngine, FaultParityWithSoloUnderIdenticalInjection) {
     // An injected tick runs the solo body in both engines, so one
     // identically-seeded fault process observes the identical call
     // sequence.
-    ff::FaultInjector inj = ff::FaultInjector::bernoulli(5e-6, 0x5eed11);
+    ff::FaultInjector inj = ff::FaultInjector::bernoulli(2e-5, 0x5eed11);
     engine.run_until_idle(&inj, 10000);
     struct Out {
       std::vector<float> hidden;
