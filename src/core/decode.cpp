@@ -66,10 +66,9 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
     throw std::invalid_argument("efta decode: row stride below d");
   }
   // An int8 tile is read only through its sealed encodings.
-  if (it.kv.fmt != nullptr) {
+  if (it.kv.fmt != nullptr && !memo_ok(it.kv, opt.stride)) {
     for (std::size_t j = 0; j < it.kv.tiles(); ++j) {
-      if (it.kv.fmt[j] == TileFmt::kI8 &&
-          (!memo_ok(it.kv, opt.stride) || it.kv.k_c1[j] == nullptr)) {
+      if (it.kv.fmt[j] == TileFmt::kI8) {
         throw std::invalid_argument(
             "efta decode: int8 tile without sealed encodings at the "
             "checksum stride");
